@@ -21,21 +21,17 @@ Two questions, answered with numbers in ``benchmarks/results/BENCH_fault.json``:
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import time
 
 import numpy as np
 import pytest
 
-from conftest import RESULTS_DIR
+from conftest import QUICK, update_record
 from repro.fault import FAULTS
 from repro.graph.generators import barabasi_albert_graph
 from repro.sampling.walks import RandomWalkEngine
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-JSON_PATH = RESULTS_DIR / "BENCH_fault.json"
 
 ETA = 40_000 if QUICK else 150_000
 LENGTH = 160
@@ -47,22 +43,6 @@ MAX_OVERHEAD_PCT = 2.0
 
 BATCH_PAIRS = 100
 BATCH_EPSILON = 0.3
-
-
-def _merge_record(update: dict) -> dict:
-    """Benchmarks here write one JSON file from two tests: merge, not clobber."""
-    record = {}
-    if JSON_PATH.is_file():
-        record = json.loads(JSON_PATH.read_text(encoding="utf-8"))
-    record.update(update)
-    record["benchmark"] = "fault"
-    record["mode"] = "quick" if QUICK else "full"
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"\n[BENCH_fault.json] {json.dumps(update, sort_keys=True)}")
-    return record
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +100,8 @@ def test_disarmed_failpoint_overhead(graph):
 
     best = {name: statistics.median(times) for name, times in samples.items()}
     overhead = (best["armed_nonfiring"] / best["disarmed"] - 1.0) * 100.0
-    _merge_record(
+    update_record(
+        "fault",
         {
             "overhead_workload": {
                 "graph": "ba-5000-8",
@@ -195,7 +176,8 @@ def test_worker_crash_recovery_latency():
     assert stats["injected_crashes"] == 1
     assert stats["respawns"] >= 1
 
-    _merge_record(
+    update_record(
+        "fault",
         {
             "recovery_workload": {
                 "graph": "ba-400-4",

@@ -12,8 +12,8 @@ perf record**: :func:`test_fused_vs_materialised_scoring` pits the fused
 materialise-then-score path — under every available kernel backend (numpy
 always; the compiled numba backend wherever numba is installed) — and
 :func:`test_parallel_batch_execution` measures a 100-query GEER batch serial
-vs a shared-memory-attached process pool.  Both write their measurements into
-``benchmarks/results/BENCH_kernels.json`` so future PRs can track the
+vs the persistent shared-memory worker pool.  Both write their measurements
+into ``benchmarks/results/BENCH_kernels.json`` so future PRs can track the
 trajectory.  Set ``REPRO_BENCH_QUICK=1`` (as CI does) for a smaller, faster
 workload; the JSON records which mode produced it.
 
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RESULTS_DIR
+from conftest import QUICK, update_record
 from repro.sampling import kernels as walk_kernels
 from repro.core.engine import QueryEngine
 from repro.core.estimator import EffectiveResistanceEstimator
@@ -48,9 +48,6 @@ from repro.linalg.solvers import LaplacianSolver
 from repro.sampling.spanning_tree import wilson_spanning_tree
 from repro.sampling.walks import RandomWalkEngine
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-JSON_PATH = RESULTS_DIR / "BENCH_kernels.json"
-
 # Fused-kernel workload: the huge-η*, long-ℓ regime of Figs. 8-9 (small ε),
 # where the materialised path's (η, ℓ) buffers dwarf the fused kernel's
 # 128-column score blocks.  Quick mode shrinks η for CI runners.
@@ -62,23 +59,6 @@ FUSED_REPEATS = 2 if QUICK else 3
 PARALLEL_PAIRS = 50 if QUICK else 100
 PARALLEL_EPSILON = 0.1
 PARALLEL_WORKERS = min(4, os.cpu_count() or 1) if (os.cpu_count() or 1) > 1 else 2
-
-
-def _update_json(section: str, payload: dict) -> None:
-    """Merge one benchmark section into BENCH_kernels.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record: dict = {}
-    if JSON_PATH.exists():
-        try:
-            record = json.loads(JSON_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            record = {}
-    record["benchmark"] = "kernels"
-    record["mode"] = "quick" if QUICK else "full"
-    record["available_cpus"] = os.cpu_count() or 1
-    record[section] = payload
-    JSON_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"\n[BENCH_kernels.json::{section}] {json.dumps(payload, sort_keys=True)}")
 
 
 # --------------------------------------------------------------------------- #
@@ -242,9 +222,8 @@ def test_fused_vs_materialised_scoring(big_graph):
     )
     peak_chunked = _peak_bytes(lambda: chunked("numpy"))
 
-    _update_json(
-        "fused_walk_scores",
-        {
+    update_record("kernels", {
+        "fused_walk_scores": {
             "eta": FUSED_ETA,
             "length": FUSED_LENGTH,
             "chunk_size": FUSED_CHUNK,
@@ -267,23 +246,25 @@ def test_fused_vs_materialised_scoring(big_graph):
             "tracemalloc_peak_bytes_materialised": peak_materialised,
             "tracemalloc_peak_bytes_chunked": peak_chunked,
         },
-    )
+    })
     # the chunked walk buffer must stay bounded by the chunk size, not η
     assert peak_chunked < peak_materialised
 
 
 def test_parallel_batch_execution():
-    """A 100-query GEER batch: sequential vs a shm-attached process pool.
+    """A 100-query GEER batch: sequential vs the shared-memory worker pool.
 
     Sequential (``workers=1``) replays the per-pair session stream
     bit-for-bit.  The parallel run publishes the context's heavy artifacts
-    to shared memory first (:func:`install_shared_context`), so pool workers
-    attach zero-copy by fingerprint instead of unpickling the graph — the
-    serving stack's executor path since the repro.net PR.  Per-query derived
-    streams make the results identical across worker counts and executor
-    kinds (asserted here against a thread pool with a different width).
+    to shared memory (:func:`install_shared_context`) and executes the plan
+    on a pre-warmed :class:`SharedWorkerPool` — the serving stack's process
+    executor — whose workers attach zero-copy by fingerprint.  Per-query
+    derived streams make the results identical across worker counts and
+    executors (asserted here against a thread pool with a different width)
+    before any number is recorded.
     """
-    from repro.net.shm import install_shared_context, shm_available
+    from repro.net.pool import SharedWorkerPool
+    from repro.net.shm import install_shared_context
 
     graph = barabasi_albert_graph(2000, 8, rng=23)
     pairs = list(random_query_set(graph, PARALLEL_PAIRS, rng=23))
@@ -295,21 +276,23 @@ def test_parallel_batch_execution():
     serial_seconds = time.perf_counter() - start
 
     parallel_engine = QueryEngine(graph, rng=23)
-    parallel_engine.context.lambda_max_abs  # preprocessing outside the timed region
-    parallel_engine.context.transition
-    shared = (
-        install_shared_context(parallel_engine.context) if shm_available() else None
-    )
+    context = parallel_engine.context
+    context.prepare_for(resolve_method("geer"), PARALLEL_EPSILON)
+    shared = install_shared_context(context)
     try:
-        start = time.perf_counter()
-        parallel = parallel_engine.query_many(
-            pairs,
-            PARALLEL_EPSILON,
-            method="geer",
+        with SharedWorkerPool(
+            shared,
             workers=PARALLEL_WORKERS,
-            executor="process",
-        )
-        parallel_seconds = time.perf_counter() - start
+            delta=context.delta,
+            num_batches=context.num_batches,
+            budget=context.budget,
+        ) as pool:
+            pool.warm()  # fork + attach once, as a server does, not per batch
+            start = time.perf_counter()
+            parallel = pool.execute_plan(
+                parallel_engine.plan(pairs, PARALLEL_EPSILON, method="geer")
+            )
+            parallel_seconds = time.perf_counter() - start
     finally:
         if shared is not None:
             shared.retire()
@@ -320,10 +303,9 @@ def test_parallel_batch_execution():
         PARALLEL_EPSILON,
         method="geer",
         workers=PARALLEL_WORKERS + 1,
-        executor="thread",
     )
-    assert np.array_equal(parallel.values, check.values), (
-        "parallel results must not depend on worker count or executor kind"
+    assert [r.value.hex() for r in parallel] == [r.value.hex() for r in check], (
+        "parallel results must not depend on worker count or executor"
     )
     truth = QueryEngine(graph, rng=23)
     errors = [
@@ -349,7 +331,7 @@ def test_parallel_batch_execution():
             "single-CPU host: pool overhead dominates and no wall-clock gain "
             "is possible; rerun on a multi-core machine for the speedup"
         )
-    _update_json("parallel_batch", payload)
+    update_record("kernels", {"parallel_batch": payload})
 
 
 # --------------------------------------------------------------------------- #

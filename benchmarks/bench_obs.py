@@ -21,20 +21,16 @@ shrinks η and the JSON records which mode produced the numbers.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import RESULTS_DIR
+from conftest import QUICK, write_record
 from repro.graph.generators import barabasi_albert_graph
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.sampling.walks import RandomWalkEngine
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-JSON_PATH = RESULTS_DIR / "BENCH_obs.json"
 
 # Same regime as bench_kernels' fused-kernel workload: huge η*, long ℓ,
 # chunked driver — so each call spawns ~η/chunk span records when traced.
@@ -100,8 +96,6 @@ def test_instrumentation_overhead(graph):
     overhead_traced = (best["traced"] / best["bare"] - 1.0) * 100.0
 
     record = {
-        "benchmark": "obs",
-        "mode": "quick" if QUICK else "full",
         "workload": {
             "graph": "ba-5000-8",
             "eta": ETA,
@@ -117,11 +111,7 @@ def test_instrumentation_overhead(graph):
         "max_overhead_pct": MAX_OVERHEAD_PCT,
         "bit_identical": True,
     }
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"\n[BENCH_obs.json] {json.dumps(record, sort_keys=True)}")
+    write_record("obs", record)
 
     assert overhead_traced <= MAX_OVERHEAD_PCT, (
         f"tracing the chunked walk kernel cost {overhead_traced:.2f}% "

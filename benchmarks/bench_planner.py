@@ -22,21 +22,17 @@ shrinks the workload.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import RESULTS_DIR
+from conftest import QUICK, write_record
 from repro.baselines.exact import ExactEffectiveResistance
 from repro.graph.generators import barabasi_albert_graph
 from repro.service.planner import PlannerConfig
 from repro.service.server import ResistanceService, ServiceConfig
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-JSON_PATH = RESULTS_DIR / "BENCH_planner.json"
 
 NUM_QUERIES = 150 if QUICK else 600
 POOL_SIZE = 40
@@ -127,8 +123,6 @@ def test_adaptive_planner_beats_static_on_skewed_traffic(graph):
     speedup = static_mean / adaptive_mean
 
     record = {
-        "benchmark": "planner",
-        "mode": "quick" if QUICK else "full",
         "workload": {
             "graph": "ba-400-4",
             "num_queries": NUM_QUERIES,
@@ -154,11 +148,7 @@ def test_adaptive_planner_beats_static_on_skewed_traffic(graph):
         "decisions_by_tier": planner_summary["by_tier"],
         "fallbacks": planner_summary["fallbacks"],
     }
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"\n[BENCH_planner.json] {json.dumps(record, sort_keys=True)}")
+    write_record("planner", record)
 
     assert speedup > 1.0, (
         f"adaptive routing must beat the static pipeline on skewed traffic: "

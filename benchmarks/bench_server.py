@@ -1,11 +1,9 @@
 """Serving-stack benchmarks: shared-memory pool vs serial, HTTP round-trips.
 
-PR 3 measured a 100-query GEER batch under ``executor="process"`` at ~0.7x
-serial on one CPU — the cost of pickling the graph + context into every fresh
-worker pool.  The shared-memory pool (:mod:`repro.net.pool`) removes exactly
-that cost: workers attach once to published segments
-(:mod:`repro.net.shm`) and each batch ships only task tuples.  This module
-records the machine-readable evidence in
+The shared-memory pool (:mod:`repro.net.pool`) is the repository's process
+executor: its workers attach once to published segments
+(:mod:`repro.net.shm`), so a batch ships only task tuples — never the graph
+or the context.  This module records the machine-readable evidence in
 ``benchmarks/results/BENCH_server.json``:
 
 * ``shm_pool_vs_serial`` — steady-state batch execution on a persistent,
@@ -21,14 +19,13 @@ records which mode produced each number.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import RESULTS_DIR
+from conftest import QUICK, update_record
 from repro.core.engine import QueryEngine
 from repro.experiments.queries import random_query_set
 from repro.graph.generators import barabasi_albert_graph
@@ -37,9 +34,6 @@ from repro.net.pool import SharedWorkerPool
 from repro.net.server import NetServer, NetServerConfig
 from repro.net.shm import install_shared_context, shm_available
 from repro.service import ResistanceService, ServiceConfig
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-JSON_PATH = RESULTS_DIR / "BENCH_server.json"
 
 GRAPH_NODES = 2000
 GRAPH_M = 8
@@ -57,23 +51,6 @@ POOL_REPEATS = 2 if QUICK else 5
 HTTP_BATCHES = 4 if QUICK else 12
 HTTP_PAIRS_PER_BATCH = 4 if QUICK else 8
 HTTP_EPSILON = 0.2
-
-
-def _update_json(section: str, payload: dict) -> None:
-    """Merge one benchmark section into BENCH_server.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    record: dict = {}
-    if JSON_PATH.exists():
-        try:
-            record = json.loads(JSON_PATH.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            record = {}
-    record["benchmark"] = "server"
-    record["mode"] = "quick" if QUICK else "full"
-    record["available_cpus"] = os.cpu_count() or 1
-    record[section] = payload
-    JSON_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"\n[BENCH_server.json::{section}] {json.dumps(payload, sort_keys=True)}")
 
 
 def _best_of(repeats, fn):
@@ -110,9 +87,7 @@ def test_shm_pool_vs_serial(bench_graph, bench_pairs):
     # identical across worker counts) — always workers=2 so the parallel
     # path is taken even when the pool itself runs a single worker.
     engine_thread = QueryEngine(bench_graph, rng=SEED)
-    thread_batch = engine_thread.plan(bench_pairs, POOL_EPSILON).execute(
-        workers=2, executor="thread"
-    )
+    thread_batch = engine_thread.plan(bench_pairs, POOL_EPSILON).execute(workers=2)
 
     engine_pool = QueryEngine(bench_graph, rng=SEED)
     shared = install_shared_context(engine_pool.context)
@@ -138,41 +113,26 @@ def test_shm_pool_vs_serial(bench_graph, bench_pairs):
             POOL_REPEATS,
             lambda: engine_serial.plan(bench_pairs, POOL_EPSILON).execute(),
         )
-        # The historical regression path: a fresh process pool per batch
-        # (fork + initializer per call) — now attaching via shm rather than
-        # pickling the graph, but still paying startup on every batch.
-        # workers >= 2, because workers=1 short-circuits to serial execution.
-        fresh_seconds, _ = _best_of(
-            POOL_REPEATS,
-            lambda: engine_pool.plan(bench_pairs, POOL_EPSILON).execute(
-                workers=max(2, POOL_WORKERS), executor="process"
-            ),
-        )
         pool_seconds, _ = _best_of(
             POOL_REPEATS,
             lambda: pool.execute_plan(engine_pool.plan(bench_pairs, POOL_EPSILON)),
         )
 
     speedup = serial_seconds / pool_seconds if pool_seconds > 0 else float("inf")
-    _update_json(
-        "shm_pool_vs_serial",
-        {
+    update_record("server", {
+        "shm_pool_vs_serial": {
             "graph": f"ba-{GRAPH_NODES}-{GRAPH_M}",
             "pairs": len(bench_pairs),
             "epsilon": POOL_EPSILON,
             "workers": POOL_WORKERS,
             "repeats": POOL_REPEATS,
             "serial_seconds": round(serial_seconds, 4),
-            "fresh_process_pool_seconds": round(fresh_seconds, 4),
             "pool_seconds": round(pool_seconds, 4),
             "speedup": round(speedup, 3),
-            "speedup_vs_fresh_process_pool": round(
-                fresh_seconds / pool_seconds if pool_seconds > 0 else float("inf"), 3
-            ),
             "bit_identical_to_thread_executor": bit_identical,
             "shared_segment_bytes": shared.handle.nbytes,
         },
-    )
+    })
     # Catastrophic regressions (e.g. a return to per-batch pickling,
     # historically 0.71x) must fail. On a single CPU the pool cannot beat
     # serial — parity is the ceiling and scheduler noise swings ±10% — so the
@@ -212,9 +172,8 @@ def test_server_roundtrip(bench_graph, bench_pairs):
         stats = client.stats()
     assert stats["server"]["answered"] == HTTP_BATCHES
     total = sum(latencies)
-    _update_json(
-        "server_roundtrip",
-        {
+    update_record("server", {
+        "server_roundtrip": {
             "graph": f"ba-{GRAPH_NODES}-{GRAPH_M}",
             "batches": HTTP_BATCHES,
             "pairs_per_batch": HTTP_PAIRS_PER_BATCH,
@@ -225,4 +184,4 @@ def test_server_roundtrip(bench_graph, bench_pairs):
             "p99_ms": round(1000.0 * float(np.percentile(latencies, 99)), 2),
             "pairs_per_second": round(pairs_served / total, 1) if total > 0 else 0.0,
         },
-    )
+    })

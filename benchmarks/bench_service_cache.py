@@ -18,20 +18,16 @@ produced the numbers.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
-from conftest import RESULTS_DIR
+from conftest import QUICK, write_record
 from repro.experiments.queries import random_query_set
 from repro.graph.generators import barabasi_albert_graph
 from repro.service.server import ResistanceService, ServiceConfig
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-JSON_PATH = RESULTS_DIR / "BENCH_service_cache.json"
 
 NUM_NODES = 600 if QUICK else 2000
 NUM_PAIRS = 60 if QUICK else 150
@@ -95,8 +91,6 @@ def test_service_cold_vs_warm_and_cached_throughput(graph, pairs, tmp_path_facto
 
     summary = warm_service.summary()
     record = {
-        "benchmark": "service_cache",
-        "mode": "quick" if QUICK else "full",
         "graph": {
             "family": "barabasi-albert",
             "num_nodes": NUM_NODES,
@@ -123,8 +117,4 @@ def test_service_cold_vs_warm_and_cached_throughput(graph, pairs, tmp_path_facto
             "cache_hit_rate": summary["cache"]["hit_rate"],
         },
     }
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    JSON_PATH.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"\n[BENCH_service_cache.json] {json.dumps(record['throughput'])}")
+    write_record("service_cache", record)

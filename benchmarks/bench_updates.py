@@ -19,18 +19,14 @@ JSON records which mode produced the numbers.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
 
-from conftest import RESULTS_DIR
+from conftest import QUICK, write_record
 from repro.graph import EdgeDelta, barabasi_albert_graph, with_random_weights
 from repro.service import ResistanceService, ServiceConfig
 
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-JSON_PATH = RESULTS_DIR / "BENCH_updates.json"
 
 NUM_NODES = 600 if QUICK else 2000
 ATTACH = 8
@@ -139,10 +135,7 @@ def test_apply_update_vs_cold_rebuild():
         # survivors must be exactly the entries the report kept
         assert post_hits == report.surviving_cache_entries
 
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     record = {
-        "benchmark": "updates",
-        "mode": "quick" if QUICK else "full",
         "graph": {
             "family": "barabasi-albert",
             "num_nodes": NUM_NODES,
@@ -152,10 +145,7 @@ def test_apply_update_vs_cold_rebuild():
         "cached_pairs": NUM_CACHED_PAIRS,
         "deltas": sections,
     }
-    JSON_PATH.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"\n[BENCH_updates.json] {json.dumps(sections, sort_keys=True)}")
+    write_record("updates", record)
 
 
 def test_update_correctness_spot_check():

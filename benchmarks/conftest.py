@@ -11,6 +11,8 @@ times would add nothing) and persist the resulting tables under
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +23,11 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+#: ``REPRO_BENCH_QUICK=1`` (as CI sets it) shrinks every perf benchmark's
+#: workload; records carry the mode that produced them.
+QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
+MODE = "quick" if QUICK else "full"
 
 # Laptop-scale sweep parameters shared by the figure benchmarks.  The paper uses
 # 100 queries, ε down to 0.01 and a one-day timeout; these defaults keep the
@@ -56,3 +63,58 @@ def save_table(name: str, text: str) -> Path:
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
+
+
+# --------------------------------------------------------------------------- #
+# machine-readable perf records (benchmarks/results/BENCH_<name>.json)
+# --------------------------------------------------------------------------- #
+def _record_path(name: str) -> Path:
+    """Where this run's ``BENCH_<name>`` record goes.
+
+    Committed records come from full-mode runs, so a quick-mode run never
+    overwrites a full-mode record: its output goes to
+    ``BENCH_<name>.quick.json`` beside it instead.
+    """
+    path = RESULTS_DIR / f"BENCH_{name}.json"
+    if QUICK and _read_record(path).get("mode") == "full":
+        return path.with_suffix(".quick.json")
+    return path
+
+
+def _read_record(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, json.JSONDecodeError):
+        return {}
+
+
+def _write(path: Path, name: str, record: dict, shown: dict) -> Path:
+    record = {
+        **record,
+        "benchmark": name,
+        "mode": MODE,
+        "available_cpus": os.cpu_count() or 1,
+    }
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"\n[{path.name}] {json.dumps(shown, sort_keys=True)}")
+    return path
+
+
+def write_record(name: str, record: dict) -> Path:
+    """Write a whole ``BENCH_<name>`` record (see :func:`_record_path`)."""
+    return _write(_record_path(name), name, record, record)
+
+
+def update_record(name: str, fields: dict) -> Path:
+    """Merge ``fields`` into a ``BENCH_<name>`` record, keeping its other keys.
+
+    For scripts whose tests each write their own sections of one record.
+    Keys measured in the other mode are dropped rather than merged, so a
+    record never mixes quick and full numbers under one ``mode``.
+    """
+    path = _record_path(name)
+    record = _read_record(path)
+    if record.get("mode") != MODE:
+        record = {}
+    return _write(path, name, {**record, **fields}, fields)

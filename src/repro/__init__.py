@@ -35,9 +35,9 @@ vectorized across pairs:
 (array([...]), 3)
 
 For serving workloads, :class:`repro.ResistanceService` layers an ε-aware
-answer cache, landmark resistance sketches, request coalescing and persistent
-preprocessing artifacts (warm restarts skip the eigen-solve) on top of the
-engine:
+answer cache, landmark resistance sketches, planned batch execution and
+persistent preprocessing artifacts (warm restarts skip the eigen-solve) on top
+of the engine:
 
 >>> service = repro.ResistanceService(graph, rng=1)       # doctest: +SKIP
 >>> service.query(3, 77, epsilon=0.1).value               # doctest: +SKIP
@@ -103,7 +103,6 @@ from repro.baselines import exact_effective_resistance, ground_truth_resistance
 from repro.obs import MetricsRegistry, Observability, Tracer, render_span_tree
 from repro.service import (
     LandmarkSketchStore,
-    RequestCoalescer,
     ResistanceCache,
     ResistanceService,
     ServiceConfig,
@@ -180,7 +179,6 @@ __all__ = [
     "UpdateReport",
     "ResistanceCache",
     "LandmarkSketchStore",
-    "RequestCoalescer",
     "save_artifacts",
     "load_context",
     "graph_fingerprint",

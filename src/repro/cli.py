@@ -221,6 +221,37 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
     return 0
 
 
+def _query_batch(engine: QueryEngine, pairs, args: argparse.Namespace):
+    """Run ``pairs`` as one plan; ``--workers N > 1`` runs it on a worker pool.
+
+    The :class:`~repro.net.pool.SharedWorkerPool` lives for this invocation
+    only.  Where shared memory is unavailable the pool runs the plan on
+    in-process threads, with the same values (DESIGN.md Contract 5).
+    """
+    if args.workers == 1:
+        return engine.query_many(pairs, args.epsilon, method=args.method)
+    from repro.net.pool import SharedWorkerPool
+    from repro.net.shm import install_shared_context
+
+    plan = engine.plan(pairs, args.epsilon, method=args.method)
+    context = engine.context
+    shared = install_shared_context(context)
+    try:
+        with SharedWorkerPool(
+            shared,
+            workers=args.workers,
+            delta=context.delta,
+            num_batches=context.num_batches,
+            budget=context.budget,
+            obs=context.obs,
+        ) as pool:
+            batch = pool.execute_plan(plan)
+    finally:
+        if shared is not None:
+            shared.retire()
+    return engine.adopt_results(batch)
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     if args.method == "list":
         return _cmd_methods(args)
@@ -249,14 +280,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.batch:
             if obs is not None:
                 with obs.tracer.trace("cli:query_batch") as trace:
-                    batch = engine.query_many(
-                        pairs, args.epsilon, method=args.method, workers=args.workers
-                    )
+                    batch = _query_batch(engine, pairs, args)
                 traces.append(trace)
             else:
-                batch = engine.query_many(
-                    pairs, args.epsilon, method=args.method, workers=args.workers
-                )
+                batch = _query_batch(engine, pairs, args)
             results = list(batch)
         elif obs is not None:
             results = []
@@ -727,8 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker count for --batch execution (default: 1 = sequential, "
-        "bit-identical to per-pair queries; >1 = parallel pool with one "
-        "deterministic derived stream per query)",
+        "bit-identical to per-pair queries; >1 = shared-memory worker pool "
+        "with one deterministic derived stream per query)",
     )
     query_parser.add_argument(
         "--exact",

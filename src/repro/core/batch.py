@@ -24,20 +24,24 @@ Execution comes in two modes with two distinct determinism contracts
   the context's shared generator, so a plan produces *exactly* the same
   values as a per-pair loop over ``estimate`` under the same seed — batching
   changes the bookkeeping, never the estimates.
-* ``workers>1``: queries fan out over a thread or process pool.  Each query
-  runs against its **own deterministic random stream**, derived from the
-  session generator and the query's position via
-  :func:`~repro.utils.rng.derive_seed`, so a parallel batch is reproducible
-  for a fixed seed — and identical across worker counts and executor kinds —
-  but deliberately does *not* replay the sequential stream (interleaving a
-  single generator across workers would make results scheduling-dependent).
+* ``workers>1``: queries fan out over a thread pool.  Each query runs
+  against its **own deterministic random stream**, derived from the session
+  generator and the query's position via :func:`~repro.utils.rng.derive_seed`,
+  so a parallel batch is reproducible for a fixed seed — and identical across
+  worker counts — but deliberately does *not* replay the sequential stream
+  (interleaving a single generator across workers would make results
+  scheduling-dependent).
+
+Process parallelism lives in one place, :class:`repro.net.pool.SharedWorkerPool`:
+it runs the same task list (:meth:`QueryPlan.parallel_tasks`) and the same
+SMM chunks (:meth:`QueryPlan.smm_chunks`) on persistent workers attached to
+shared memory, so its results are hex-equal to the thread executor's.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -46,7 +50,6 @@ import numpy as np
 from repro.core.registry import MethodSpec, QueryContext, resolve_method
 from repro.core.result import EstimateResult
 from repro.exceptions import StaleEpochError
-from repro.sampling.walks import RandomWalkEngine
 from repro.utils.rng import derive_seed
 from repro.utils.timing import Timer
 from repro.utils.validation import check_positive, check_query_pairs
@@ -326,7 +329,6 @@ class QueryPlan:
         vectorize: bool = True,
         max_batch_columns: int = 256,
         workers: int = 1,
-        executor: str = "auto",
         **kwargs: Any,
     ) -> BatchResult:
         """Run every query in the plan and return an aggregate result.
@@ -339,14 +341,13 @@ class QueryPlan:
         ``vectorize`` is true (deterministic, so ordering is irrelevant);
         extra ``kwargs`` fall back to the scalar path.
 
-        With ``workers>1`` queries fan out over a pool.  Every query gets a
-        private random stream derived deterministically from the session
-        generator and its input position, so a parallel batch is reproducible
-        for a fixed seed — and produces the same values for any worker count
-        or executor kind — but follows a different stream than sequential
-        execution (the *own-stream* contract; see DESIGN.md).  ``executor``
-        selects ``"thread"``, ``"process"`` or ``"auto"`` (processes where
-        ``fork`` is available and the method is process-safe, else threads).
+        With ``workers>1`` queries fan out over a thread pool.  Every query
+        gets a private random stream derived deterministically from the
+        session generator and its input position, so a parallel batch is
+        reproducible for a fixed seed — and produces the same values for any
+        worker count, and on :class:`repro.net.pool.SharedWorkerPool` — but
+        follows a different stream than sequential execution (the
+        *own-stream* contract; see DESIGN.md).
         """
         if self.context.epoch != self.epoch:
             raise StaleEpochError(
@@ -356,10 +357,6 @@ class QueryPlan:
         workers = int(workers)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if executor not in ("auto", "thread", "process"):
-            raise ValueError(
-                f"executor must be 'auto', 'thread' or 'process', got {executor!r}"
-            )
         timer = Timer()
         obs = self.context.obs
         results: list[Optional[EstimateResult]] = [None] * len(self._pairs)
@@ -374,16 +371,11 @@ class QueryPlan:
                 executor=executor_used,
             ):
                 if vectorized_smm:
-                    for bucket in self._buckets:
-                        bucket_pairs = [self._pairs[i] for i in bucket.indices]
-                        bucket_results = _execute_smm_bucket_vectorized(
-                            self.context,
-                            bucket_pairs,
-                            int(bucket.walk_length or 0),
-                            self.epsilon,
-                            max_batch_columns=max_batch_columns,
+                    for indices, pairs, length in self.smm_chunks(max_batch_columns):
+                        chunk_results = _run_smm_chunk(
+                            self.context, pairs, length, self.epsilon
                         )
-                        for index, result in zip(bucket.indices, bucket_results):
+                        for index, result in zip(indices, chunk_results):
                             results[index] = result
                 else:
                     param = self.spec.walk_length_param
@@ -396,7 +388,7 @@ class QueryPlan:
                             self.context, s, t, self.epsilon, **call_kwargs
                         )
         else:
-            executor_used = self._resolve_executor(executor)
+            executor_used = "thread"
             with timer, obs.tracer.span(
                 "plan:execute",
                 method=self.spec.name,
@@ -408,7 +400,6 @@ class QueryPlan:
                 self._execute_parallel(
                     results,
                     workers=workers,
-                    executor=executor_used,
                     vectorized_smm=vectorized_smm,
                     max_batch_columns=max_batch_columns,
                     kwargs=kwargs,
@@ -442,33 +433,21 @@ class QueryPlan:
     # ------------------------------------------------------------------ #
     # parallel execution
     # ------------------------------------------------------------------ #
-    #: Methods that must not run on a process pool: RP answers from a sketch
-    #: drawn lazily from the *session* stream — per-worker rebuilds would
-    #: silently change (and de-determinise) the answers.
-    _PROCESS_UNSAFE = frozenset({"rp"})
-
-    def _resolve_executor(self, executor: str) -> str:
-        if executor == "process" and self.spec.name in self._PROCESS_UNSAFE:
-            raise ValueError(
-                f"method {self.spec.name!r} cannot run on a process pool "
-                "(its shared sketch lives in the session context); use threads"
-            )
-        if executor != "auto":
-            return executor
-        if self.spec.name in self._PROCESS_UNSAFE or not hasattr(os, "fork"):
-            return "thread"
-        return "process"
-
-    def _parallel_tasks(
-        self, kwargs: dict[str, Any]
+    def parallel_tasks(
+        self, kwargs: Optional[dict[str, Any]] = None
     ) -> list[tuple[int, int, int, Optional[int], Optional[int], dict[str, Any]]]:
         """One ``(index, s, t, walk_length, seed, kwargs)`` tuple per query.
 
-        Seeds are derived from the session generator and the query index, so
-        they depend on the seed and the input order only — never on worker
-        count, scheduling or executor kind.  Deriving the base consumes one
-        draw from the session stream (documented in DESIGN.md).
+        The task list of every parallel executor — the thread pool behind
+        ``execute(workers=N)`` and :class:`repro.net.pool.SharedWorkerPool`,
+        which run each task with :func:`_task_kwargs` — so both stay
+        bit-identical for every N.  Seeds are derived from the session
+        generator and the query index, so they depend on the seed and the
+        input order only — never on worker count, scheduling or which
+        executor runs them.  Deriving the base consumes one draw from the
+        session stream (documented in DESIGN.md).
         """
+        kwargs = dict(kwargs or {})
         seeded = self.spec.parallel_seed is not None
         if seeded and ("engine" in kwargs or "rng" in kwargs):
             raise ValueError(
@@ -486,91 +465,68 @@ class QueryPlan:
             tasks.append((index, s, t, length, seed, kwargs))
         return tasks
 
-    def parallel_tasks(
-        self, kwargs: Optional[dict[str, Any]] = None
-    ) -> list[tuple[int, int, int, Optional[int], Optional[int], dict[str, Any]]]:
-        """The plan's parallel task list, for external executors.
+    def smm_chunks(
+        self, max_batch_columns: int
+    ) -> list[tuple[tuple[int, ...], list[tuple[int, int]], int]]:
+        """The vectorized-SMM work units: ``(indices, pairs, walk_length)``.
 
-        Same tuples (and the same one session-stream draw for seeded methods)
-        as the built-in ``workers > 1`` path, so an external pool — e.g.
-        :class:`repro.net.pool.SharedWorkerPool` — that runs them with
-        :func:`_task_kwargs` semantics stays bit-identical to
-        ``execute(workers=N)`` for every N.
+        Each pair occupies two propagation columns (s* and t*), so a chunk
+        holds at most ``max_batch_columns // 2`` pairs of one bucket.  Serial,
+        thread and pool execution all run exactly these chunks; SMM is
+        deterministic, so the completion order is irrelevant.
         """
-        return self._parallel_tasks(dict(kwargs or {}))
+        pairs_per_chunk = max(1, int(max_batch_columns) // 2)
+        chunks = []
+        for bucket in self._buckets:
+            for lo in range(0, len(bucket.indices), pairs_per_chunk):
+                indices = bucket.indices[lo : lo + pairs_per_chunk]
+                chunks.append(
+                    (indices, [self._pairs[i] for i in indices], int(bucket.walk_length or 0))
+                )
+        return chunks
 
     def _execute_parallel(
         self,
         results: list[Optional[EstimateResult]],
         *,
         workers: int,
-        executor: str,
         vectorized_smm: bool,
         max_batch_columns: int,
         kwargs: dict[str, Any],
     ) -> None:
-        # Build every shared artefact up front so pool workers only read the
-        # context (and a process pool inherits/receives finished state).
-        self.context.prepare_for(self.spec, self.epsilon)
+        # Build every shared artefact up front so pool threads only read the
+        # context.
+        context = self.context
+        context.prepare_for(self.spec, self.epsilon)
         if vectorized_smm:
             # SMM parallelises at the chunk level: the multi-column SpMM path
-            # is kept, chunks are the unit of work (deterministic, so the
-            # completion order is irrelevant).
-            chunk_tasks = []
-            pairs_per_chunk = max(1, int(max_batch_columns) // 2)
-            for bucket in self._buckets:
-                for lo in range(0, len(bucket.indices), pairs_per_chunk):
-                    indices = bucket.indices[lo : lo + pairs_per_chunk]
-                    chunk_tasks.append(
-                        (indices, [self._pairs[i] for i in indices], int(bucket.walk_length or 0))
-                    )
-            if executor == "process":
-                jobs = [
-                    (_process_smm_chunk, (pairs, length, self.epsilon))
-                    for (_, pairs, length) in chunk_tasks
-                ]
-            else:
-                jobs = [
-                    (_run_smm_chunk, (self.context, pairs, length, self.epsilon))
-                    for (_, pairs, length) in chunk_tasks
-                ]
+            # is kept, chunks are the unit of work.
+            chunks = self.smm_chunks(max_batch_columns)
+            jobs = [
+                (_run_smm_chunk, (context, pairs, length, self.epsilon))
+                for (_, pairs, length) in chunks
+            ]
 
             def assign(position: int, chunk_results) -> None:
-                for index, result in zip(chunk_tasks[position][0], chunk_results):
+                for index, result in zip(chunks[position][0], chunk_results):
                     results[index] = result
 
         else:
-            tasks = self._parallel_tasks(kwargs)
-            if executor == "process":
-                jobs = [(_process_query_task, (task,)) for task in tasks]
-            else:
-                context = self.context
+            tasks = self.parallel_tasks(kwargs)
 
-                def run(task: tuple) -> EstimateResult:
-                    _index, s, t, _length, _seed, _kwargs = task
-                    return self.spec(
-                        context, s, t, self.epsilon,
-                        **_task_kwargs(self.spec, context, task),
-                    )
+            def run(task: tuple) -> EstimateResult:
+                _index, s, t, _length, _seed, _kwargs = task
+                return self.spec(
+                    context, s, t, self.epsilon,
+                    **_task_kwargs(self.spec, context, task),
+                )
 
-                jobs = [(run, (task,)) for task in tasks]
+            jobs = [(run, (task,)) for task in tasks]
 
             def assign(position: int, result) -> None:
                 results[tasks[position][0]] = result
 
-        self._fan_out(executor, workers, jobs, assign)
-
-    def _fan_out(self, executor: str, workers: int, jobs, assign) -> None:
-        """Submit ``(fn, args)`` jobs to the pool and scatter their results."""
-        if executor == "process":
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_process_worker,
-                initargs=(self._process_payload(),),
-            )
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-        with pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(fn, *args) for fn, args in jobs]
             self._collect(futures)
             for position, future in enumerate(futures):
@@ -588,76 +544,6 @@ class QueryPlan:
         if pending:  # pragma: no cover - FIRST_EXCEPTION without failure waits for all
             wait(pending)
 
-    def _process_payload(self) -> dict[str, Any]:
-        """Everything a process-pool worker needs to rebuild the context.
-
-        When the context's artifacts are published to shared memory (a
-        ``shared_handle`` for this plan's epoch is installed), the payload
-        carries the tiny handle and workers attach zero-copy instead of
-        unpickling the graph — the fix for the 0.71x process-executor
-        regression.  A missing or stale handle (or a host without shared
-        memory) falls back to the original pickled-graph payload.
-        """
-        context = self.context
-        payload = {
-            "delta": context.delta,
-            "num_batches": context.num_batches,
-            "budget": context.budget,
-            "method": self.spec.name,
-            "epsilon": self.epsilon,
-        }
-        handle = getattr(context, "shared_handle", None)
-        if handle is not None and handle.epoch == self.epoch:
-            payload["shared_handle"] = handle
-        else:
-            payload["graph"] = context.graph
-            payload["lambda_max_abs"] = context._lambda
-        return payload
-
-
-# --------------------------------------------------------------------------- #
-# process-pool workers
-# --------------------------------------------------------------------------- #
-# Worker-process state, installed once per worker by the pool initializer.  A
-# worker rebuilds a QueryContext from the pickled payload (graph + scalars) and
-# prebuilds the artefacts the planned method needs, so tasks are pure function
-# calls.  Results are identical to thread execution: tasks carry their own
-# derived seeds and every shared artefact (transition matrix, λ, oracles) is
-# reconstructed deterministically.
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _init_process_worker(payload: dict[str, Any]) -> None:
-    handle = payload.get("shared_handle")
-    if handle is not None:
-        # Zero-copy path: map the publisher's segments instead of unpickling
-        # the graph.  The attachment object is kept in the worker state so the
-        # mapping outlives this initializer.
-        from repro.net.shm import attach_context
-
-        attached = attach_context(
-            handle,
-            delta=payload["delta"],
-            num_batches=payload["num_batches"],
-            budget=payload["budget"],
-        )
-        _WORKER_STATE["attached"] = attached
-        context = attached.context
-    else:
-        context = QueryContext(
-            payload["graph"],
-            delta=payload["delta"],
-            num_batches=payload["num_batches"],
-            lambda_max_abs=payload["lambda_max_abs"],
-            budget=payload["budget"],
-            validate=False,
-        )
-    spec = resolve_method(payload["method"])
-    context.prepare_for(spec, payload["epsilon"])
-    _WORKER_STATE["context"] = context
-    _WORKER_STATE["spec"] = spec
-    _WORKER_STATE["epsilon"] = payload["epsilon"]
-
 
 def _task_kwargs(
     spec: MethodSpec,
@@ -670,55 +556,8 @@ def _task_kwargs(
     param = spec.walk_length_param
     if param is not None and length is not None and param not in call_kwargs:
         call_kwargs[param] = length
-    if spec.parallel_seed == "engine":
-        call_kwargs["engine"] = RandomWalkEngine(
-            context.graph, rng=seed, kernel_backend=context.budget.kernel_backend
-        )
-    elif spec.parallel_seed == "rng":
-        call_kwargs["rng"] = seed
+    call_kwargs.update(spec.private_stream(context, seed))
     return call_kwargs
-
-
-def _process_query_task(
-    task: tuple[int, int, int, Optional[int], Optional[int], dict[str, Any]],
-) -> EstimateResult:
-    context = _WORKER_STATE["context"]
-    spec = _WORKER_STATE["spec"]
-    epsilon = _WORKER_STATE["epsilon"]
-    _index, s, t, _length, _seed, _kwargs = task
-    return spec(context, s, t, epsilon, **_task_kwargs(spec, context, task))
-
-
-def _process_smm_chunk(
-    pairs: Sequence[tuple[int, int]], num_iterations: int, epsilon: float
-) -> list[EstimateResult]:
-    return _run_smm_chunk(_WORKER_STATE["context"], pairs, num_iterations, epsilon)
-
-
-def _execute_smm_bucket_vectorized(
-    context: QueryContext,
-    pairs: Sequence[tuple[int, int]],
-    num_iterations: int,
-    epsilon: float,
-    *,
-    max_batch_columns: int = 256,
-) -> list[EstimateResult]:
-    """Run SMM for every pair in one bucket with multi-column propagation.
-
-    The one-hot start vectors of all ``k`` pairs are stacked into a dense
-    ``n × 2k`` matrix and advanced jointly: each iteration is a single
-    SpMM ``P @ X`` instead of ``2k`` separate SpMVs, which is where the batch
-    speedup comes from.  The per-pair Eq. (17) cost accounting (degree mass of
-    each propagation vector's support) is preserved.
-    """
-    # Each pair occupies two columns (s* and t*), so the pair chunk size is
-    # half the column cap.
-    pairs_per_chunk = max(1, int(max_batch_columns) // 2)
-    results: list[EstimateResult] = []
-    for start in range(0, len(pairs), pairs_per_chunk):
-        chunk = pairs[start : start + pairs_per_chunk]
-        results.extend(_run_smm_chunk(context, chunk, num_iterations, epsilon))
-    return results
 
 
 def _run_smm_chunk(
@@ -727,6 +566,14 @@ def _run_smm_chunk(
     num_iterations: int,
     epsilon: float,
 ) -> list[EstimateResult]:
+    """Run SMM for one chunk of same-bucket pairs with multi-column propagation.
+
+    The one-hot start vectors of all ``k`` pairs are stacked into a dense
+    ``n × 2k`` matrix and advanced jointly: each iteration is a single
+    SpMM ``P @ X`` instead of ``2k`` separate SpMVs, which is where the batch
+    speedup comes from.  The per-pair Eq. (17) cost accounting (degree mass of
+    each propagation vector's support) is preserved.
+    """
     graph = context.graph
     transition = context.transition
     degrees = context.degrees_float

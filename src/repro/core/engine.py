@@ -224,7 +224,7 @@ class QueryEngine:
     def _record(self, result: EstimateResult) -> None:
         self.stats.record(result)
         # The single funnel every estimate passes through (direct queries,
-        # batches, coalescer flushes, pool-adopted results) — so this is where
+        # batches, pool-adopted results) — so this is where
         # per-method counters and latency histograms are observed.
         self._context.obs.observe_result(result)
         for hook in self._result_hooks:
@@ -298,17 +298,16 @@ class QueryEngine:
         method: str = "geer",
         bucketing: str = "degree",
         workers: int = 1,
-        executor: str = "auto",
         **kwargs: Any,
     ) -> BatchResult:
         """Plan and execute a batch of queries; see :class:`QueryPlan`.
 
-        ``workers > 1`` executes the plan on a thread/process pool with one
+        ``workers > 1`` executes the plan on a thread pool with one
         deterministic derived stream per query (see
         :meth:`QueryPlan.execute` for the two determinism contracts).
         """
         batch = self.plan(pairs, epsilon, method=method, bucketing=bucketing).execute(
-            workers=workers, executor=executor, **kwargs
+            workers=workers, **kwargs
         )
         return self.adopt_results(batch)
 

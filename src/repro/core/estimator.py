@@ -158,7 +158,7 @@ class EffectiveResistanceEstimator(QueryEngine):
         aggregate diagnostics.
 
         ``workers > 1`` routes the batch through the planned execution path on
-        a pool, with one deterministic derived stream per query (the
+        a thread pool, with one deterministic derived stream per query (the
         *own-stream* contract of :meth:`~repro.core.batch.QueryPlan.execute`);
         ``workers=1`` keeps the historical per-pair loop on the session
         stream, bit-for-bit.

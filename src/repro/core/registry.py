@@ -232,9 +232,10 @@ class QueryContext:
         self._lineage: Optional[str] = None  # lazily the graph fingerprint
         #: A :class:`repro.net.shm.SharedContextHandle` once this context's
         #: artifacts have been published to shared memory (see
-        #: :func:`repro.net.shm.install_shared_context`).  When set, the
-        #: process-pool batch executor ships this tiny descriptor to workers
-        #: (attach-by-fingerprint) instead of pickling the graph.  Cleared by
+        #: :func:`repro.net.shm.install_shared_context`).  When set,
+        #: :class:`repro.net.pool.SharedWorkerPool` ships this tiny
+        #: descriptor to its workers (attach-by-fingerprint); without it the
+        #: pool runs plans on in-process threads.  Cleared by
         #: :meth:`apply_delta` — the publisher must republish per epoch.
         self.shared_handle: Optional[Any] = None
         self._cells: Dict[str, Any] = {}
@@ -516,7 +517,7 @@ class QueryContext:
             self.epoch += 1
             self._lineage = delta.chain(parent_lineage)
             # Published segments describe the pre-delta graph; drop the handle
-            # so the process executor falls back to pickling until the owner
+            # so the worker pool falls back to threads until the owner
             # republishes under the new epoch.
             self.shared_handle = None
         if refresh == "eager" or (
@@ -761,6 +762,23 @@ class MethodSpec:
         if self.walk_length_kind == "peng":
             return peng_walk_length(epsilon, context.lambda_max_abs)
         return None
+
+    def private_stream(self, context: QueryContext, seed: Optional[int]) -> dict[str, Any]:
+        """The kwargs that run one query on a private stream seeded by ``seed``.
+
+        Per :attr:`parallel_seed`: a fresh :class:`RandomWalkEngine` as
+        ``engine=``, the seed itself as ``rng=``, or nothing for methods that
+        need no private stream.
+        """
+        if self.parallel_seed == "engine":
+            return {
+                "engine": RandomWalkEngine(
+                    context.graph, rng=seed, kernel_backend=context.budget.kernel_backend
+                )
+            }
+        if self.parallel_seed == "rng":
+            return {"rng": seed}
+        return {}
 
 
 _REGISTRY: Dict[str, MethodSpec] = {}

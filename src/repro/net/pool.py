@@ -1,23 +1,25 @@
-"""A persistent process pool executing query plans over shared memory.
+"""The process pool executing query plans over shared memory.
 
-``QueryPlan.execute(workers=N, executor="process")`` spins up a fresh pool
-per call — acceptable for one-off batches, fatal for a server answering a
-stream of them.  :class:`SharedWorkerPool` keeps the processes alive across
-batches: each worker attaches to the published shared-memory segments
-(:mod:`repro.net.shm`) **once at startup** and rebuilds its zero-copy
-``QueryContext`` from them, so dispatching a batch ships only the task
-tuples (a few ints each) and an epoch handle — no graphs, no contexts, no
-per-task pickling.
+:class:`SharedWorkerPool` is the repository's only process executor; in
+process, ``QueryPlan.execute(workers=N)`` runs on threads.  The pool keeps
+its processes alive across batches: each worker attaches to the published
+shared-memory segments (:mod:`repro.net.shm`) **once at startup** and
+rebuilds its zero-copy ``QueryContext`` from them, so dispatching a batch
+ships only the task tuples (a few ints each) and an epoch handle — no
+graphs, no contexts, no per-task pickling.  The network server keeps one
+pool for its lifetime; ``repro-er query --batch --workers N`` builds one for
+a single invocation.
 
 Determinism is inherited, not reimplemented: the pool executes the exact
 task list :meth:`QueryPlan.parallel_tasks` produces (per-query streams
 derived via ``derive_seed`` from one session draw) with the same per-task
-kwargs the built-in executors use, so results are **bit-identical** to
-``plan.execute(workers=N)`` for every worker count and executor kind —
-including this one (DESIGN.md Contracts 3 and 5).  Sharding is free to be
-coarse: seeds depend only on the task's input position, never on which
-worker runs it, so the pool dispatches one contiguous shard per worker and
-pays one IPC round-trip per shard instead of one per query.
+kwargs the thread executor uses, and the same SMM chunks
+(:meth:`QueryPlan.smm_chunks`), so results are **bit-identical** to
+``plan.execute(workers=N)`` for every worker count (DESIGN.md Contracts 2
+and 5).  Sharding is free to be coarse: seeds depend only on the task's
+input position, never on which worker runs it, so the pool dispatches one
+contiguous shard per worker and pays one IPC round-trip per shard instead of
+one per query.
 
 Epoch flips are lazy and atomic per worker: every shard carries the
 publishing epoch's handle, and a worker whose attached token differs simply
@@ -303,7 +305,7 @@ class SharedWorkerPool:
         serving context's own values.
     max_batch_columns:
         Column cap per vectorized SMM chunk (same default as
-        :meth:`QueryPlan.execute`).
+        :meth:`QueryPlan.execute`; see :meth:`QueryPlan.smm_chunks`).
     max_respawns:
         Recovery attempts per dispatch before giving up with
         :class:`PoolCrashError`.
@@ -314,7 +316,9 @@ class SharedWorkerPool:
         ``None`` (the default) disables the deadline.
     """
 
-    #: Methods that cannot leave the session process (see QueryPlan).
+    #: Methods that must not run in worker processes: RP answers from a
+    #: sketch drawn lazily from the *session* stream — per-worker rebuilds
+    #: would silently change (and de-determinise) the answers.
     _PROCESS_UNSAFE = frozenset({"rp"})
 
     def __init__(
@@ -521,7 +525,8 @@ class SharedWorkerPool:
             with self._stats_lock:
                 self.stats.fallback_batches += 1
             return plan.execute(
-                workers=self.workers, executor="thread", vectorize=vectorize, **kwargs
+                workers=self.workers, vectorize=vectorize,
+                max_batch_columns=self.max_batch_columns, **kwargs,
             )
 
         # Pin the published epoch (when we own its bookkeeping) so an /update
@@ -561,20 +566,7 @@ class SharedWorkerPool:
             epoch=plan.epoch,
         ):
             if vectorized_smm:
-                chunks = []
-                pairs = plan.pairs
-                pairs_per_chunk = max(1, self.max_batch_columns // 2)
-                for bucket in plan.buckets:
-                    for lo in range(0, len(bucket.indices), pairs_per_chunk):
-                        indices = bucket.indices[lo : lo + pairs_per_chunk]
-                        chunks.append(
-                            (
-                                indices,
-                                [pairs[i] for i in indices],
-                                int(bucket.walk_length or 0),
-                            )
-                        )
-                shards = _split(chunks, num_shards)
+                shards = _split(plan.smm_chunks(self.max_batch_columns), num_shards)
 
                 def submit(shard: list) -> Any:
                     return self._executor.submit(

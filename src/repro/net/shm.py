@@ -3,10 +3,8 @@
 A :class:`~repro.core.registry.QueryContext` owns a pile of large read-only
 arrays — the CSR ``indptr``/``indices``/``weights``, the float degrees, the
 transition matrix's data, the Vose alias tables and (optionally) the landmark
-sketch's resistance vectors.  The old process-pool path pickled all of it
-into every worker at startup, which is why ``BENCH_kernels.json`` recorded
-the parallel batch *losing* to serial execution (0.71x): on a serving box the
-graph dwarfs the queries.
+sketch's resistance vectors.  On a serving box the graph dwarfs the queries,
+so worker processes must never receive it by value.
 
 This module publishes those arrays **once** into POSIX shared-memory segments
 (:func:`publish_context`) and hands out a :class:`SharedContextHandle` — a
@@ -82,7 +80,7 @@ def shm_available() -> bool:
 
     False on platforms without ``multiprocessing.shared_memory`` or where
     creating a segment fails (e.g. no ``/dev/shm`` in a locked-down
-    container).  Callers use this to fall back to the pickling process path.
+    container).  Callers use this to fall back to in-process threads.
     """
     global _PROBE_RESULT
     if _PROBE_RESULT is None:
@@ -404,11 +402,11 @@ def publish_context(
 def install_shared_context(
     context: QueryContext, *, sketch: Optional[Any] = None
 ) -> Optional[SharedEpoch]:
-    """Publish ``context`` and install the handle for the process executor.
+    """Publish ``context`` and install the handle for the worker pool.
 
-    Once installed, ``QueryPlan.execute(executor="process")`` ships the tiny
-    handle to pool workers (attach-by-fingerprint) instead of pickling the
-    graph.  Returns ``None`` — leaving the pickling fallback in place — when
+    Once installed, :meth:`repro.net.pool.SharedWorkerPool.execute_plan`
+    ships the tiny handle to its workers (attach-by-fingerprint).  Returns
+    ``None`` — leaving the pool's in-process thread fallback in place — when
     shared memory is unavailable on this host.
     """
     if not shm_available():
@@ -505,7 +503,7 @@ def attach_context(
     :class:`StaleSegmentError` *before* any segment is touched.
 
     ``delta``/``num_batches``/``budget`` override the published scalars (the
-    batch executor threads the planning context's values through so worker
+    worker pool threads the planning context's values through so worker
     estimates match the parent bit-for-bit even if the publisher used
     different defaults).
 

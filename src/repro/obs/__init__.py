@@ -118,8 +118,8 @@ class Observability:
         """Record one :class:`~repro.core.result.EstimateResult`.
 
         Called from ``QueryEngine._record`` — the single funnel every
-        estimate passes through (direct queries, batches, coalescer flushes
-        and pool-adopted results alike).
+        estimate passes through (direct queries, batches and pool-adopted
+        results alike).
         """
         if not self.metrics.enabled:
             return

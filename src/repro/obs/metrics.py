@@ -16,8 +16,8 @@ Design points
   family/child creation under the registry lock, because the net server's
   asyncio loop, its work thread and pytest threads all touch the same
   registry.
-* **Scrape-time collectors.**  The repo already keeps nine ad-hoc ``Stats``
-  dataclasses (session, service, cache, sketch, coalescer, pool, server...).
+* **Scrape-time collectors.**  The repo already keeps ad-hoc ``Stats``
+  dataclasses (session, service, cache, sketch, pool, server...).
   Rather than double-count every event on the hot path, those surfaces are
   exported through :meth:`MetricsRegistry.register_collector` callbacks that
   are only invoked when ``/metrics`` is scraped.

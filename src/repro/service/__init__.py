@@ -9,9 +9,6 @@ Four building blocks and one facade turn the per-graph query session
 * :mod:`repro.service.sketch` — exact landmark resistance vectors
   (:class:`LandmarkSketchStore`) serving triangle-inequality bounds and
   O(k) approximate answers without the walk engine.
-* :mod:`repro.service.coalesce` — size- and deadline-bounded micro-batching
-  (:class:`RequestCoalescer`) that flushes concurrent point queries through
-  the vectorized :class:`~repro.core.batch.QueryPlan` path.
 * :mod:`repro.service.artifacts` — persistent preprocessing artifacts with a
   graph fingerprint for staleness detection, so warm process starts skip the
   ARPACK eigen-solve.
@@ -20,9 +17,12 @@ Four building blocks and one facade turn the per-graph query session
   online-calibrated latency models, plus anytime sketch answers refined in
   the background (:class:`RefinementExecutor`).
 * :mod:`repro.service.server` — :class:`ResistanceService`, wiring
-  cache → sketch → coalescer → engine with per-layer statistics (statically,
-  or per-query through the planner with ``ServiceConfig(planner="adaptive")``),
-  exposed on the CLI as ``repro-er serve`` / ``repro-er warm``.
+  cache → sketch → engine with per-layer statistics (statically, or per-query
+  through the planner with ``ServiceConfig(planner="adaptive")``), exposed on
+  the CLI as ``repro-er serve`` / ``repro-er warm``.  Batches
+  (:meth:`ResistanceService.query_many`) run their layer misses as one
+  :class:`~repro.core.batch.QueryPlan`, on the attached worker pool when the
+  network server provides one.
 """
 
 from repro.service.artifacts import (
@@ -40,7 +40,6 @@ from repro.service.artifacts import (
     save_artifacts,
 )
 from repro.service.cache import CacheEntry, CacheStats, ResistanceCache, canonical_pair
-from repro.service.coalesce import CoalescerStats, PendingQuery, RequestCoalescer
 from repro.service.planner import (
     CostModel,
     PlanDecision,
@@ -68,10 +67,6 @@ __all__ = [
     "LandmarkSketchStore",
     "SketchAnswer",
     "SketchStats",
-    # coalescing
-    "PendingQuery",
-    "CoalescerStats",
-    "RequestCoalescer",
     # artifacts
     "ARTIFACT_FORMAT_VERSION",
     "DELTA_LOG_NAME",

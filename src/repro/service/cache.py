@@ -26,8 +26,8 @@ from repro.utils.validation import check_positive
 def canonical_pair(s: int, t: int) -> tuple[int, int]:
     """The undirected pair key: ``r`` is symmetric, so ``(s, t) ≡ (t, s)``.
 
-    Shared by the cache, the coalescer's duplicate detection and the service's
-    batch dedup, so all three always agree on pair identity.
+    Shared by the cache, the service's batch dedup and the planner's
+    refinement dedup, so all three always agree on pair identity.
     """
     return (s, t) if s <= t else (t, s)
 

@@ -58,7 +58,6 @@ from typing import Any, Callable, Optional
 from repro.core.registry import resolve_method
 from repro.core.walk_length import query_cost_units
 from repro.obs import NULL_OBS, Observability, Sample
-from repro.sampling.walks import RandomWalkEngine
 from repro.service.cache import canonical_pair
 from repro.utils.rng import derive_seed
 from repro.utils.timing import Timer
@@ -318,10 +317,7 @@ class ServiceSignals:
 
     def queue_depth(self) -> int:
         probe = getattr(self._service, "load_probe", None)
-        if probe is not None:
-            return int(probe())
-        coalescer = self._service._coalescer
-        return len(coalescer) if coalescer is not None else 0
+        return int(probe()) if probe is not None else 0
 
     def breaker_state(self) -> str:
         return self._service.breaker.state
@@ -552,8 +548,9 @@ class RefinementExecutor:
     ``refine`` semantics — never resurrects, never loosens).
 
     Determinism: refinements run the method spec directly against the shared
-    context with a **derived private stream** (``engine=``/``rng=`` kwarg per
-    ``MethodSpec.parallel_seed``), exactly like the parallel batch path — the
+    context with a **derived private stream**
+    (:meth:`~repro.core.registry.MethodSpec.private_stream`), exactly like the
+    parallel batch path — the
     session stream is never touched, so foreground answers stay bit-identical
     whether or not refinement runs.  Duplicate in-flight pairs are submitted
     once; :meth:`drain` waits for everything in flight (``apply_update``
@@ -606,19 +603,13 @@ class RefinementExecutor:
                 self._planner.stats.refinements_dropped += 1
                 return
             spec = resolve_method(service.config.method)
-            kwargs: dict[str, Any] = {}
-            seed = derive_seed(self._seed, sequence, s, t)
-            if spec.parallel_seed == "engine":
-                kwargs["engine"] = RandomWalkEngine(
-                    service.graph,
-                    rng=seed,
-                    kernel_backend=service.engine.context.budget.kernel_backend,
-                )
-            elif spec.parallel_seed == "rng":
-                kwargs["rng"] = seed
+            context = service.engine.context
+            kwargs = spec.private_stream(
+                context, derive_seed(self._seed, sequence, s, t)
+            )
             timer = Timer()
             with timer:
-                result = spec(service.engine.context, s, t, epsilon, **kwargs)
+                result = spec(context, s, t, epsilon, **kwargs)
             service._complete_refinement(result, epoch, seconds=timer.elapsed)
         except Exception:
             # A failed refinement only costs the cache a tighter entry; the

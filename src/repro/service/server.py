@@ -1,4 +1,4 @@
-"""The serving facade: cache → sketch → (coalesced) engine.
+"""The serving facade: cache → sketch → engine.
 
 A :class:`ResistanceService` wires the serving layers around one
 :class:`~repro.core.engine.QueryEngine` session:
@@ -8,11 +8,10 @@ A :class:`ResistanceService` wires the serving layers around one
 2. the :class:`~repro.service.sketch.LandmarkSketchStore` answers loose
    queries (and any query touching a landmark) from precomputed exact landmark
    resistances, still without the walk engine;
-3. everything else reaches the engine — directly (:meth:`ResistanceService.query`),
-   as a planned batch (:meth:`ResistanceService.query_many`), or buffered
-   through the :class:`~repro.service.coalesce.RequestCoalescer`
-   (:meth:`ResistanceService.submit`) so concurrent point queries ride the
-   vectorized ``QueryPlan`` path.
+3. everything else reaches the engine — directly (:meth:`ResistanceService.query`)
+   or as one planned batch (:meth:`ResistanceService.query_many`), which runs
+   on an attached :class:`repro.net.pool.SharedWorkerPool` when the network
+   server provides one.
 
 Every engine-produced answer flows back into the cache through the engine's
 result hook, so the cache warms no matter which path executed the query.  All
@@ -41,7 +40,6 @@ from repro.graph.delta import EdgeDelta, GraphStore, expand_neighborhood
 from repro.obs import Observability, Sample
 from repro.service import artifacts as artifacts_io
 from repro.service.cache import ResistanceCache, canonical_pair
-from repro.service.coalesce import PendingQuery, RequestCoalescer
 from repro.service.planner import (
     PlannerConfig,
     QueryPlanner,
@@ -75,12 +73,11 @@ class ServiceConfig:
     landmark_strategy: str = "degree"
     landmark_seed: int = 0
     sketch_max_nodes: int = 50_000
-    coalesce_max_batch: int = 32
-    coalesce_max_delay_seconds: float = 0.005
     bucketing: str = "degree"
-    #: Worker count for engine batches (query_many and coalescer flushes).
-    #: 1 = sequential session-stream execution; >1 = pool execution with
-    #: per-query derived streams (see QueryPlan.execute).
+    #: Worker count for in-process engine batches (query_many without an
+    #: attached worker pool).  1 = sequential session-stream execution;
+    #: >1 = thread execution with per-query derived streams (see
+    #: QueryPlan.execute).
     workers: int = 1
     #: Refresh policy for the spectral solve after apply_update: "eager",
     #: "on-next-read" (default) or "budgeted" (eager only below
@@ -117,6 +114,8 @@ class ServiceConfig:
     kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         for name in ("spectral_refresh", "sketch_refresh"):
             value = getattr(self, name)
             if value not in REFRESH_POLICIES:
@@ -146,7 +145,6 @@ class ServiceStats:
     #: sketch-envelope answers served under deadline pressure.
     exact_answers: int = 0
     anytime_answers: int = 0
-    coalesced_submissions: int = 0
     updates: int = 0
     invalidated_cache_entries: int = 0
     sketch_rebuilds: int = 0
@@ -167,7 +165,6 @@ class ServiceStats:
             "engine_queries": self.engine_queries,
             "exact_answers": self.exact_answers,
             "anytime_answers": self.anytime_answers,
-            "coalesced_submissions": self.coalesced_submissions,
             "updates": self.updates,
             "invalidated_cache_entries": self.invalidated_cache_entries,
             "sketch_rebuilds": self.sketch_rebuilds,
@@ -264,7 +261,7 @@ class ResistanceService:
         )
         self._update_latency = metrics.histogram(
             "repro_update_latency_seconds",
-            "End-to-end apply_update latency (flush, patch, invalidate).",
+            "End-to-end apply_update latency (drain, patch, invalidate).",
         )
         metrics.register_collector(self._metrics_collector)
 
@@ -327,7 +324,6 @@ class ResistanceService:
             )
         self.sketch = sketch
         self._updates_since_sketch = 0
-        self._coalescer: Optional[RequestCoalescer] = None
         # Optional external batch executor (duck-typed so this module never
         # imports repro.net): anything with execute_plan(plan) -> BatchResult,
         # e.g. repro.net.pool.SharedWorkerPool.  See attach_worker_pool.
@@ -373,31 +369,17 @@ class ResistanceService:
     def graph(self):
         return self.engine.graph
 
-    @property
-    def coalescer(self) -> RequestCoalescer:
-        """The micro-batcher behind :meth:`submit`, created on first use."""
-        if self._coalescer is None:
-            self._coalescer = RequestCoalescer(
-                self.engine,
-                max_batch=self.config.coalesce_max_batch,
-                max_delay_seconds=self.config.coalesce_max_delay_seconds,
-                method=self.config.method,
-                bucketing=self.config.bucketing,
-                workers=self.config.workers,
-            )
-        return self._coalescer
-
     def warm_up(self) -> "ResistanceService":
         """Force every preprocessing artefact (the λ eigen-solve) eagerly."""
         self.engine.lambda_max_abs
         return self
 
     def _on_engine_result(self, result: EstimateResult) -> None:
-        # Every engine-produced answer — single query, planned batch or
-        # coalescer flush — is counted here (so duplicates removed by
-        # coalescing are *not* counted) and offered to the cache.  Results
-        # whose sampling was cut off by a budget cap carry no ε guarantee and
-        # must never be served as one.
+        # Every engine-produced answer — single query or planned batch — is
+        # counted here (so duplicate pairs a batch executed once are *not*
+        # counted twice) and offered to the cache.  Results whose sampling
+        # was cut off by a budget cap carry no ε guarantee and must never be
+        # served as one.
         self.stats.engine_queries += 1
         self._tier_answers.labels(tier="engine").inc()
         if self.cache is not None and not result.budget_exhausted:
@@ -706,8 +688,8 @@ class ResistanceService:
 
         The pipeline, in order:
 
-        1. pending coalesced requests are flushed (they were planned against
-           the current epoch);
+        1. in-flight anytime refinements are drained (they read the live
+           context);
         2. the :class:`~repro.graph.delta.GraphStore` applies the delta (CSR
            row splicing) and extends the delta log / lineage chain;
         3. the engine's context absorbs it — cheap artefacts patched in
@@ -724,7 +706,6 @@ class ResistanceService:
         with timer, self.obs.tracer.span(
             "service:update", changes=delta.num_changes
         ):
-            self.flush()
             if self._refiner is not None:
                 # In-flight anytime refinements read the live context; wait
                 # them out before patching it.  Anything they land is still
@@ -938,33 +919,6 @@ class ResistanceService:
             return None
         return sketch.bounds(s, t)
 
-    def submit(self, s: int, t: int, epsilon: float) -> PendingQuery:
-        """Buffer one request for micro-batched execution.
-
-        Cache/sketch hits resolve immediately; everything else joins the
-        coalescer's current batch (see
-        :class:`~repro.service.coalesce.RequestCoalescer` for the flush
-        rules).  Engine results reach the cache through the result hook when
-        the batch flushes.
-        """
-        epsilon = check_positive(epsilon, "epsilon")
-        s, t = check_node_pair(s, t, self.graph.num_nodes)
-        self.stats.requests += 1
-        served = self._layered_answer(s, t, epsilon)
-        if served is not None:
-            return PendingQuery.resolved(s, t, epsilon, served)
-        self.stats.coalesced_submissions += 1
-        return self.coalescer.submit(s, t, epsilon)
-
-    def poll(self) -> bool:
-        """Drive the coalescer's deadline: flush when the oldest request expired."""
-        return self._coalescer.poll() if self._coalescer is not None else False
-
-    def flush(self) -> None:
-        """Force-resolve every buffered request."""
-        if self._coalescer is not None:
-            self._coalescer.flush()
-
     def close(self) -> None:
         """Stop background machinery (the refinement executor); idempotent."""
         if self._refiner is not None:
@@ -1024,7 +978,6 @@ class ResistanceService:
             "engine_queries",
             "exact_answers",
             "anytime_answers",
-            "coalesced_submissions",
             "invalidated_cache_entries",
             "sketch_rebuilds",
         ):
@@ -1069,18 +1022,6 @@ class ResistanceService:
             samples.append(
                 Sample("repro_sketch_stale", "gauge", "1 when the sketch is stale for the current epoch.", {}, float(bool(self.sketch.stale)))
             )
-        if self._coalescer is not None:
-            co = self._coalescer.stats
-            for field in ("submitted", "executed_pairs", "flushes", "size_flushes", "deadline_flushes", "demand_flushes"):
-                samples.append(
-                    Sample(
-                        f"repro_coalescer_{field}_total",
-                        "counter",
-                        f"CoalescerStats.{field} of the request coalescer.",
-                        {},
-                        float(getattr(co, field)),
-                    )
-                )
         session = self.engine.stats
         samples.append(
             Sample("repro_session_queries_total", "counter", "Estimates recorded by the engine session.", {}, float(session.num_queries))
@@ -1105,14 +1046,12 @@ class ResistanceService:
         return samples
 
     def summary(self) -> dict[str, dict[str, object]]:
-        """Per-layer counters: service routing, cache, sketch, coalescer, engine."""
+        """Per-layer counters: service routing, cache, sketch, planner, engine."""
         summary: dict[str, dict[str, object]] = {"service": self.stats.summary()}
         if self.cache is not None:
             summary["cache"] = self.cache.stats.summary()
         if self.sketch is not None:
             summary["sketch"] = self.sketch.stats.summary()
-        if self._coalescer is not None:
-            summary["coalescer"] = self._coalescer.stats.summary()
         if self.planner is not None:
             summary["planner"] = self.planner.summary()
         summary["session"] = self.engine.stats.summary()
@@ -1136,7 +1075,6 @@ class ResistanceService:
             for name, active in (
                 ("cache", self.cache is not None),
                 ("sketch", self.sketch is not None),
-                ("coalescer", self._coalescer is not None),
                 ("planner", self.planner is not None),
             )
             if active

@@ -5,8 +5,9 @@ Two determinism contracts (DESIGN.md):
 * ``workers=1`` replays the per-pair session stream bit-for-bit (covered
   extensively in test_batch.py; re-asserted here as the baseline);
 * ``workers>1`` uses one derived stream per query, so results are identical
-  for a fixed seed across reruns, worker counts and executor kinds — but are
-  an independent (equally valid) sample from the sequential run.
+  for a fixed seed across reruns, worker counts and the thread/pool
+  executors — but are an independent (equally valid) sample from the
+  sequential run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.core.estimator import EffectiveResistanceEstimator
 from repro.core.registry import QueryContext
 from repro.experiments.queries import random_query_set
 from repro.graph.generators import barabasi_albert_graph
-from repro.service.coalesce import RequestCoalescer
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,10 @@ class TestParallelDeterminism:
     @pytest.mark.parametrize("method", ["geer", "amc", "mc"])
     def test_fixed_seed_reproducible(self, graph, pairs, method):
         first = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method=method, workers=2, executor="thread"
+            pairs, EPSILON, method=method, workers=2
         )
         second = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method=method, workers=2, executor="thread"
+            pairs, EPSILON, method=method, workers=2
         )
         assert np.array_equal(first.values, second.values)
         assert first.workers == 2
@@ -61,31 +61,36 @@ class TestParallelDeterminism:
     @pytest.mark.parametrize("method", ["geer", "amc"])
     def test_independent_of_worker_count(self, graph, pairs, method):
         two = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method=method, workers=2, executor="thread"
+            pairs, EPSILON, method=method, workers=2
         )
         four = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method=method, workers=4, executor="thread"
+            pairs, EPSILON, method=method, workers=4
         )
         assert np.array_equal(two.values, four.values)
 
     def test_process_pool_matches_threads(self, graph, pairs):
-        import os
+        from repro.net.pool import SharedWorkerPool
+        from repro.net.shm import install_shared_context, shm_available
 
-        if not hasattr(os, "fork"):
-            pytest.skip("no fork on this platform")
+        if not shm_available():
+            pytest.skip("multiprocessing shared memory unavailable")
         threads = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method="geer", workers=2, executor="thread"
+            pairs, EPSILON, method="geer", workers=2
         )
-        processes = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method="geer", workers=2, executor="process"
-        )
+        engine = QueryEngine(graph, rng=7)
+        shared = install_shared_context(engine.context)
+        try:
+            with SharedWorkerPool(shared, workers=2) as pool:
+                processes = pool.execute_plan(engine.plan(pairs, EPSILON))
+        finally:
+            shared.retire()
         assert np.array_equal(threads.values, processes.values)
-        assert processes.executor == "process"
+        assert processes.executor == "shm-pool"
 
     def test_parallel_estimates_stay_within_epsilon(self, graph, pairs):
         engine = QueryEngine(graph, rng=7)
         batch = engine.query_many(
-            pairs, EPSILON, method="geer", workers=3, executor="thread"
+            pairs, EPSILON, method="geer", workers=3
         )
         for result in batch:
             truth = engine.exact(result.s, result.t)
@@ -93,21 +98,31 @@ class TestParallelDeterminism:
 
 
 class TestDeterministicMethodsInParallel:
-    def test_smm_parallel_equals_serial(self, graph, pairs):
-        serial = QueryEngine(graph, rng=7).query_many(pairs, EPSILON, method="smm")
-        parallel = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method="smm", workers=3, executor="thread"
+    @pytest.mark.parametrize("max_batch_columns", [256, 4])
+    def test_smm_parallel_equals_serial(self, graph, pairs, max_batch_columns):
+        serial = QueryEngine(graph, rng=7).query_many(
+            pairs, EPSILON, method="smm", max_batch_columns=max_batch_columns
         )
-        assert np.array_equal(serial.values, parallel.values)
+        parallel = QueryEngine(graph, rng=7).query_many(
+            pairs, EPSILON, method="smm", workers=3,
+            max_batch_columns=max_batch_columns,
+        )
+        assert [r.value.hex() for r in serial] == [r.value.hex() for r in parallel]
+        assert [r.spmv_operations for r in serial] == [
+            r.spmv_operations for r in parallel
+        ]
         # the vectorized multi-column path is kept: chunk tasks, not per-pair
-        assert any(r.details.get("vectorized") for r in parallel)
+        assert all(r.details.get("vectorized") for r in parallel)
+        assert max(r.details["batch_columns"] for r in parallel) <= max_batch_columns
+        # some bucket is larger than one 4-column chunk, so it really splits
+        assert max(len(bucket) for bucket in parallel.buckets) > 2
 
     def test_ground_truth_parallel_equals_serial(self, graph, pairs):
         serial = QueryEngine(graph, rng=7).query_many(
             pairs[:6], EPSILON, method="ground-truth"
         )
         parallel = QueryEngine(graph, rng=7).query_many(
-            pairs[:6], EPSILON, method="ground-truth", workers=2, executor="thread"
+            pairs[:6], EPSILON, method="ground-truth", workers=2
         )
         assert np.allclose(serial.values, parallel.values, atol=0)
 
@@ -120,30 +135,20 @@ class TestDeterministicMethodsInParallel:
         s, t = pairs[0]
         engine = QueryEngine(graph, rng=7)
         engine.query_many(
-            pairs[:5], EPSILON, method="ground-truth", workers=2, executor="thread"
+            pairs[:5], EPSILON, method="ground-truth", workers=2
         )
         after_parallel = engine.query(s, t, EPSILON, method="geer").value
         baseline = QueryEngine(graph, rng=7).query(s, t, EPSILON, method="geer").value
         assert after_parallel == baseline
 
-    def test_rp_runs_on_threads_and_rejects_processes(self, graph, pairs):
+    def test_rp_runs_on_threads(self, graph, pairs):
         engine = QueryEngine(graph, rng=7)
-        threaded = engine.query_many(
-            pairs[:6], 0.8, method="rp", workers=2, executor="thread"
-        )
+        threaded = engine.query_many(pairs[:6], 0.8, method="rp", workers=2)
         repeat = QueryEngine(graph, rng=7).query_many(
-            pairs[:6], 0.8, method="rp", workers=3, executor="thread"
+            pairs[:6], 0.8, method="rp", workers=3
         )
         assert np.array_equal(threaded.values, repeat.values)
-        with pytest.raises(ValueError, match="process pool"):
-            QueryEngine(graph, rng=7).query_many(
-                pairs[:6], 0.8, method="rp", workers=2, executor="process"
-            )
-        # auto resolves rp to threads instead of failing
-        auto = QueryEngine(graph, rng=7).query_many(
-            pairs[:6], 0.8, method="rp", workers=2
-        )
-        assert auto.executor == "thread"
+        assert threaded.executor == "thread"
 
 
 class TestValidationAndPlumbing:
@@ -151,15 +156,11 @@ class TestValidationAndPlumbing:
         with pytest.raises(ValueError, match="workers"):
             QueryEngine(graph, rng=7).query_many(pairs, EPSILON, workers=0)
 
-    def test_invalid_executor_rejected(self, graph, pairs):
-        with pytest.raises(ValueError, match="executor"):
-            QueryEngine(graph, rng=7).query_many(pairs, EPSILON, workers=2, executor="gpu")
-
     def test_explicit_engine_kwarg_conflicts_with_parallel(self, graph, pairs):
         engine = QueryEngine(graph, rng=7)
         with pytest.raises(ValueError, match="private random stream"):
             engine.query_many(
-                pairs, EPSILON, method="amc", workers=2, executor="thread",
+                pairs, EPSILON, method="amc", workers=2,
                 engine=engine.context.engine,
             )
 
@@ -168,7 +169,7 @@ class TestValidationAndPlumbing:
         seen = []
         engine.add_result_hook(seen.append)
         batch = engine.query_many(
-            pairs, EPSILON, method="geer", workers=2, executor="thread"
+            pairs, EPSILON, method="geer", workers=2
         )
         assert engine.stats.num_queries == len(pairs)
         assert len(seen) == len(pairs)
@@ -178,33 +179,13 @@ class TestValidationAndPlumbing:
         estimator = EffectiveResistanceEstimator(graph, rng=7)
         results = estimator.estimate_many(pairs, EPSILON, method="geer", workers=2)
         reference = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method="geer", workers=2, executor="auto"
+            pairs, EPSILON, method="geer", workers=2
         )
         assert np.array_equal([r.value for r in results], reference.values)
 
-    def test_coalescer_flush_with_workers(self, graph, pairs):
-        from repro.service.cache import canonical_pair
-
-        engine = QueryEngine(graph, rng=7)
-        coalescer = RequestCoalescer(
-            engine, max_batch=100, max_delay_seconds=60.0, method="geer", workers=2
-        )
-        pending = [coalescer.submit(s, t, EPSILON) for s, t in pairs[:8]]
-        values = [p.result().value for p in pending]
-        # the coalescer executes canonicalised pairs; in parallel mode the
-        # per-query streams are derived from (index, s, t), so the reference
-        # must replay the same canonical batch
-        reference = QueryEngine(graph, rng=7).query_many(
-            [canonical_pair(s, t) for s, t in pairs[:8]],
-            EPSILON,
-            method="geer",
-            workers=2,
-        )
-        assert np.array_equal(values, reference.values)
-
     def test_parallel_batch_summary_reports_workers(self, graph, pairs):
         batch = QueryEngine(graph, rng=7).query_many(
-            pairs, EPSILON, method="geer", workers=2, executor="thread"
+            pairs, EPSILON, method="geer", workers=2
         )
         summary = batch.summary()
         assert summary["workers"] == 2

@@ -15,7 +15,9 @@ pytestmark = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing shared memory unavailable"
 )
 
-PAIRS = [(0, 40), (3, 99), (17, 71), (5, 60), (2, 88), (50, 110)]
+# The last three pairs share the degree signature (4, 6): one 3-pair SMM
+# bucket, which a 4-column cap splits into 2-pair chunks.
+PAIRS = [(0, 40), (3, 99), (17, 71), (5, 60), (2, 88), (50, 110), (112, 54), (65, 119)]
 EPSILON = 0.2
 
 
@@ -31,7 +33,7 @@ def _fresh_shared_engine(graph, seed=42):
     return engine, shared
 
 
-def _pool_for(engine, shared, workers=2):
+def _pool_for(engine, shared, workers=2, max_batch_columns=256):
     context = engine.context
     return SharedWorkerPool(
         shared,
@@ -39,57 +41,35 @@ def _pool_for(engine, shared, workers=2):
         delta=context.delta,
         num_batches=context.num_batches,
         budget=context.budget,
+        max_batch_columns=max_batch_columns,
     )
 
 
-def test_process_payload_carries_handle_not_graph(graph):
-    """The process-executor payload attaches by handle instead of pickling."""
-    engine, shared = _fresh_shared_engine(graph)
-    try:
-        plan = engine.plan(PAIRS, EPSILON)
-        payload = plan._process_payload()
-        assert payload["shared_handle"] is shared.handle
-        assert "graph" not in payload
-    finally:
-        shared.retire()
-
-    plain = QueryEngine(graph, rng=42)
-    payload = plain.plan(PAIRS, EPSILON)._process_payload()
-    assert "shared_handle" not in payload
-    assert payload["graph"] is plain.graph
-
-
-def test_process_executor_matches_thread_executor(graph):
-    """plan.execute(executor="process") over shm == thread executor, bitwise."""
-    thread_engine = QueryEngine(graph, rng=42)
-    thread_batch = thread_engine.plan(PAIRS, EPSILON).execute(
-        workers=2, executor="thread"
-    )
-    proc_engine, shared = _fresh_shared_engine(graph)
-    try:
-        proc_batch = proc_engine.plan(PAIRS, EPSILON).execute(
-            workers=2, executor="process"
-        )
-    finally:
-        shared.retire()
-    for ours, theirs in zip(thread_batch, proc_batch):
-        assert ours.value.hex() == theirs.value.hex()
-
-
-@pytest.mark.parametrize("method", ["geer", "smm"])
-def test_pool_matches_thread_executor(graph, method):
+@pytest.mark.parametrize(
+    "method,max_batch_columns",
+    [
+        pytest.param("geer", 256, id="geer"),
+        pytest.param("smm", 256, id="smm"),
+        # 4 columns = 2-pair SMM chunks, so multi-pair buckets split
+        pytest.param("smm", 4, id="smm-cols4"),
+    ],
+)
+def test_pool_matches_thread_executor(graph, method, max_batch_columns):
     thread_engine = QueryEngine(graph, rng=42)
     thread_batch = thread_engine.plan(PAIRS, EPSILON, method=method).execute(
-        workers=2, executor="thread"
+        workers=2, max_batch_columns=max_batch_columns
     )
     engine, shared = _fresh_shared_engine(graph)
     try:
-        with _pool_for(engine, shared) as pool:
+        with _pool_for(engine, shared, max_batch_columns=max_batch_columns) as pool:
             pool.warm()
             batch = pool.execute_plan(engine.plan(PAIRS, EPSILON, method=method))
         assert batch.executor == "shm-pool"
-        for ours, theirs in zip(thread_batch, batch):
-            assert ours.value.hex() == theirs.value.hex()
+        assert max(r.details.get("batch_columns", 0) for r in batch) <= max_batch_columns
+        assert [r.value.hex() for r in thread_batch] == [r.value.hex() for r in batch]
+        assert [r.spmv_operations for r in thread_batch] == [
+            r.spmv_operations for r in batch
+        ]
     finally:
         shared.retire()
 
@@ -114,9 +94,7 @@ def test_pool_falls_back_without_handle(graph):
     with SharedWorkerPool(workers=2) as pool:
         batch = pool.execute_plan(engine.plan(PAIRS, EPSILON))
     assert batch.executor == "thread"
-    reference = QueryEngine(graph, rng=42).plan(PAIRS, EPSILON).execute(
-        workers=2, executor="thread"
-    )
+    reference = QueryEngine(graph, rng=42).plan(PAIRS, EPSILON).execute(workers=2)
     for ours, theirs in zip(reference, batch):
         assert ours.value.hex() == theirs.value.hex()
 

@@ -46,9 +46,6 @@ def test_metrics_endpoint_serves_valid_exposition(graph):
         client.query(3, 77, 0.2)       # cache tier
         client.query_batch([(0, 40), (5, 60)], 0.2)
         client.update(add=[[0, 100]])
-        # the coalescer is lazy; its series appear once it exists
-        server.service.coalescer.submit(17, 71, 0.2)
-        server.service.flush()
 
         text = client.metrics()
         series = _series(text)
@@ -76,10 +73,9 @@ def test_metrics_endpoint_serves_valid_exposition(graph):
         assert any(
             key.startswith("repro_query_latency_seconds_bucket") for key in series
         )
-        # bridged Stats dataclasses: cache/sketch/coalescer/service/session
+        # bridged Stats dataclasses: cache/sketch/service/session
         assert "repro_cache_insertions_total" in series
         assert "repro_sketch_lookups_total" in series
-        assert "repro_coalescer_submitted_total" in series
         assert series["repro_service_requests_total"] >= 4
         # epoch/update events
         assert series["repro_epoch"] == 1

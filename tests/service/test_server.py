@@ -133,45 +133,6 @@ class TestQueryMany:
         assert service.engine.stats.num_queries == queries_before
 
 
-class TestCoalescedSubmit:
-    def test_submit_resolves_layer_hits_immediately(self, graph):
-        service = ResistanceService(graph, config=_engine_only_config(), rng=7)
-        service.query(3, 99, 0.2)
-        pending = service.submit(3, 99, 0.2)
-        assert pending.done and pending.result().method == "cache"
-        assert service.stats.coalesced_submissions == 0
-        # A layer hit must not instantiate the coalescer as a side effect.
-        assert service._coalescer is None
-        assert "coalescer" not in service.summary()
-
-    def test_coalesced_duplicates_not_counted_as_engine_queries(self, graph):
-        config = _engine_only_config(method="smm", coalesce_max_batch=100)
-        service = ResistanceService(graph, config=config, rng=7)
-        pending = [service.submit(0, 100, 0.2) for _ in range(5)]
-        service.flush()
-        assert all(p.done for p in pending)
-        # Five submissions coalesced into one executed engine query.
-        assert service.stats.coalesced_submissions == 5
-        assert service.stats.engine_queries == 1
-        assert service.engine.stats.num_queries == 1
-
-    def test_submit_misses_flush_through_plan(self, graph):
-        config = _engine_only_config(method="smm", coalesce_max_batch=3)
-        service = ResistanceService(graph, config=config, rng=7)
-        pending = [service.submit(i, 100 + i, 0.2) for i in range(3)]
-        assert all(p.done for p in pending)  # size flush at 3
-        assert service.coalescer.stats.size_flushes == 1
-        # And the flushed results were cached for the next round.
-        assert service.query(0, 100, 0.2).method == "cache"
-
-    def test_flush_resolves_stragglers(self, graph):
-        service = ResistanceService(graph, config=_engine_only_config(), rng=7)
-        pending = service.submit(0, 100, 0.2)
-        assert not pending.done
-        service.flush()
-        assert pending.done
-
-
 class TestWarmStart:
     def test_warm_service_skips_eigendecomposition_and_matches_cold(
         self, graph, tmp_path, monkeypatch
@@ -239,6 +200,13 @@ class TestStatsAndValidation:
             service.query(0, 1, 0.0)
         with pytest.raises(ValueError):
             ResistanceService()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected_at_config(self, workers):
+        # Checked at construction: otherwise a 0 surfaces only when an
+        # in-process batch runs, failing every engine-bound /query_batch.
+        with pytest.raises(ValueError, match="workers"):
+            ServiceConfig(workers=workers)
 
     def test_unknown_method_surfaces_as_value_error(self, graph):
         service = ResistanceService(graph, config=_engine_only_config(), rng=7)

@@ -91,14 +91,6 @@ class TestApplyUpdate:
         b = cold.query(4, 150, 0.4)
         assert float(a.value).hex() == float(b.value).hex()
 
-    def test_pending_coalesced_requests_flush_before_update(self, graph):
-        service = ResistanceService(graph, rng=2)
-        pending = service.submit(3, 180, 0.5)
-        # an engine-bound request sits in the coalescer buffer
-        if not pending.done:
-            service.apply_update(_peripheral_insert(graph))
-            assert pending.done  # flushed against the pre-delta epoch
-
     def test_store_tracks_log_and_lineage(self, graph):
         service = ResistanceService(graph, rng=1)
         d1 = _peripheral_insert(graph)

@@ -56,9 +56,6 @@ ENTRY_POINTS = {
     "service.query_many": lambda engine, estimator, service, s, t, eps: (
         service.query_many([(s, t)], eps)
     ),
-    "service.submit": lambda engine, estimator, service, s, t, eps: service.submit(
-        s, t, eps
-    ),
 }
 
 BAD_CASES = [

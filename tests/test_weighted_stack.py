@@ -63,10 +63,10 @@ class TestEngineAndBatch:
     def test_parallel_workers_deterministic_on_weighted(self, weighted_graph):
         pairs = [(0, 10), (3, 40), (7, 99), (11, 64)]
         one = QueryEngine(weighted_graph, rng=9).query_many(
-            pairs, 0.3, method="amc", workers=2, executor="thread"
+            pairs, 0.3, method="amc", workers=2
         )
         two = QueryEngine(weighted_graph, rng=9).query_many(
-            pairs, 0.3, method="amc", workers=4, executor="thread"
+            pairs, 0.3, method="amc", workers=4
         )
         assert np.array_equal(one.values, two.values)
 
