@@ -8,7 +8,9 @@ graph with a 200-pair mixed-degree query set:
   the length per pair.  Values are identical under the same seed — the plan
   changes the bookkeeping, not the estimates.
 * **smm**: the plan additionally runs whole buckets vectorized (one SpMM per
-  iteration instead of ``2k`` SpMVs), which is where the large speedup lives.
+  iteration instead of ``2k`` SpMVs).  The per-pair path pushes over the
+  frontier without building scipy objects (DESIGN.md Contract 10), so the two
+  arms now run about level; the table records the measured ratio.
 
 Results are persisted under ``benchmarks/results/`` like every other bench.
 """

@@ -20,7 +20,7 @@ from repro.core.registry import (
 )
 from repro.core.smm import SMMState, smm_estimate
 from repro.core.amc import AMCResult, amc_estimate, amc_query
-from repro.core.geer import GEERResult, geer_query
+from repro.core.geer import geer_query
 from repro.core.batch import BatchResult, QueryPlan, WalkBucket
 from repro.core.engine import QueryEngine, SessionStats
 from repro.core.estimator import EffectiveResistanceEstimator
@@ -34,7 +34,6 @@ __all__ = [
     "AMCResult",
     "amc_estimate",
     "amc_query",
-    "GEERResult",
     "geer_query",
     "EffectiveResistanceEstimator",
     # unified query layer

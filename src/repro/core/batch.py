@@ -570,9 +570,9 @@ def _run_smm_chunk(
 
     The one-hot start vectors of all ``k`` pairs are stacked into a dense
     ``n × 2k`` matrix and advanced jointly: each iteration is a single
-    SpMM ``P @ X`` instead of ``2k`` separate SpMVs, which is where the batch
-    speedup comes from.  The per-pair Eq. (17) cost accounting (degree mass of
-    each propagation vector's support) is preserved.
+    SpMM ``P @ X`` instead of ``2k`` separate SpMVs.  The per-pair Eq. (17)
+    cost accounting (degree mass of each propagation vector's support) is
+    preserved.
     """
     graph = context.graph
     transition = context.transition

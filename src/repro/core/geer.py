@@ -19,19 +19,17 @@ ablation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 import scipy.sparse as sp
 
-from repro.core.amc import AMCResult, amc_estimate
+from repro.core.amc import amc_estimate
 from repro.core.registry import register_method
 from repro.core.result import EstimateResult
 from repro.core.smm import SMMState
 from repro.core.walk_length import refined_walk_length
 from repro.graph.graph import Graph
-from repro.sampling.concentration import amc_psi, amc_sample_budget, top_two_values
+from repro.sampling.concentration import amc_psi, amc_sample_budget
 from repro.sampling.walks import RandomWalkEngine
 from repro.utils.rng import RngLike
 from repro.utils.timing import Timer
@@ -43,23 +41,9 @@ from repro.utils.validation import (
 )
 
 
-@dataclass
-class GEERResult:
-    """Detailed outcome of a GEER query (wrapped into an EstimateResult by callers)."""
-
-    value: float
-    walk_length: int
-    switch_point: int
-    smm_value: float
-    amc_value: float
-    spmv_operations: int
-    amc: AMCResult
-
-
 def _worst_case_walk_budget(
     tail_length: int,
-    s_vector: np.ndarray,
-    t_vector: np.ndarray,
+    top_two: tuple[float, float, float, float],
     degree_s: float,
     degree_t: float,
     epsilon: float,
@@ -69,13 +53,12 @@ def _worst_case_walk_budget(
     """``h(ℓ - ℓ_b)``: the total walks AMC may need for the remaining tail.
 
     ``h = (2^τ - 1) ⌈η* / 2^(τ-1)⌉ < 2 η*`` (Section 3.3.2), with η* computed
-    from the ψ of the *current* propagation vectors.
+    from the ψ of the *current* propagation vectors; ``top_two`` is their
+    ``(s_max1, s_max2, t_max1, t_max2)`` (:meth:`SMMState.top_two_values`).
     """
     if tail_length <= 0:
         return 0
-    s_max1, s_max2 = top_two_values(s_vector)
-    t_max1, t_max2 = top_two_values(t_vector)
-    psi = amc_psi(tail_length, degree_s, degree_t, s_max1, s_max2, t_max1, t_max2)
+    psi = amc_psi(tail_length, degree_s, degree_t, *top_two)
     if psi == 0.0:
         return 0
     eta_star = amc_sample_budget(psi, epsilon, delta, num_batches)
@@ -148,11 +131,9 @@ def geer_query(
             # Greedy switch (Lines 5-9): keep iterating SMM while its next
             # iteration is cheaper than the remaining AMC sampling budget.
             while state.iterations < walk_length:
-                tail = walk_length - state.iterations
                 budget = _worst_case_walk_budget(
-                    tail,
-                    state.s_vector(),
-                    state.t_vector(),
+                    walk_length - state.iterations,
+                    state.top_two_values(),
                     deg_s,
                     deg_t,
                     epsilon,
@@ -165,15 +146,12 @@ def geer_query(
 
         switch_point = state.iterations
         tail_length = walk_length - switch_point
-        s_star = state.s_vector()
-        t_star = state.t_vector()
-
         amc_result = amc_estimate(
             graph,
             s,
             t,
-            s_star,
-            t_star,
+            state.s_vector(),
+            state.t_vector(),
             epsilon=epsilon,
             walk_length=tail_length,
             num_batches=num_batches,
@@ -238,4 +216,4 @@ register_method(
     func=_geer_registry_query,
 )
 
-__all__ = ["GEERResult", "geer_query"]
+__all__ = ["geer_query"]

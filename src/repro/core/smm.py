@@ -6,11 +6,14 @@ Algorithm 2 in the paper.  Starting from the one-hot vectors ``e_s`` and
 and accumulates the ``i``-th term of the truncated effective resistance
 ``r_ℓ(s, t)`` (Eq. (4)).
 
-The implementation keeps the propagation vectors *sparse* while their support
-is small — exactly the regime in which the paper argues SMM beats random
-walks — and switches to dense storage once the frontier has saturated.  The
-number of edge traversals per iteration (the cost model of Eq. (17)) is
-recorded in :attr:`SMMState.spmv_operations`.
+Each propagation vector is a dense float64 ``n``-vector plus its sorted
+support.  While the support is small — the regime in which the paper argues
+SMM beats random walks — an iteration *pushes* over the support, touching
+only the edges Eq. (17) charges for (recorded in
+:attr:`SMMState.spmv_operations`); past ``dense_switch_fraction`` of the
+nodes it is the dense ``P @ x``.  Both give the bits of scipy's sparse
+product, each row summed from +0.0 in CSR storage order (DESIGN.md
+Contract 10).
 """
 
 from __future__ import annotations
@@ -24,12 +27,45 @@ from repro.core.registry import QueryContext, register_method
 from repro.core.result import EstimateResult
 from repro.core.walk_length import peng_walk_length
 from repro.graph.graph import Graph
+from repro.sampling.concentration import top_two_values
 from repro.utils.timing import Timer
-from repro.utils.validation import check_integer, check_node_pair
+from repro.utils.validation import check_integer, check_node_pair, check_positive
+
+
+def _reverse_arcs(graph: Graph) -> tuple[np.ndarray, bool]:
+    """``(reverse, rows_sorted)``: slot ``reverse[k]`` holds ``(v, u)`` if ``k`` holds ``(u, v)``.
+
+    Structural, so it indexes any matrix with the graph's CSR pattern — ``P``
+    in particular.  Memoised on the graph, built by the first push.
+    """
+    cached = graph._reverse_arcs_cache
+    if cached is None:
+        rows = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+        by_row = np.lexsort((graph.indices, rows))
+        reverse = np.empty_like(by_row)
+        # The k-th arc by (row, col) is the reverse of the k-th by (col, row).
+        reverse[by_row] = np.lexsort((rows, graph.indices))
+        reverse.setflags(write=False)
+        rows_sorted = bool(np.array_equal(by_row, np.arange(len(by_row))))
+        cached = graph._reverse_arcs_cache = (reverse, rows_sorted)
+    return cached
+
+
+class _Frontier:
+    """One propagation vector: dense values, sorted support, Eq. (17) cost."""
+
+    __slots__ = ("values", "support", "support_degrees", "cost", "dense")
+
+    def __init__(self, values: np.ndarray, degrees: np.ndarray, dense: bool) -> None:
+        self.values = values
+        self.support = np.flatnonzero(values)
+        self.support_degrees = degrees[self.support]
+        self.cost = int(self.support_degrees.sum())
+        self.dense = dense
 
 
 class SMMState:
-    """Iteratively maintains the propagation vectors ``s*`` and ``t*``.
+    """Iteratively maintains ``s*`` and ``t*``, each a dense vector plus its support.
 
     Parameters
     ----------
@@ -38,12 +74,12 @@ class SMMState:
     s, t:
         Query nodes.
     transition:
-        Optional pre-built transition matrix ``P = D^{-1}A`` (CSR).  Passing it
-        avoids rebuilding the matrix for every query in a sweep.
+        Optional pre-built transition matrix ``P = D^{-1}A`` (CSR, with the
+        graph's CSR pattern, as :meth:`Graph.transition_matrix` builds it).
+        Passing it avoids rebuilding the matrix for every query in a sweep.
     dense_switch_fraction:
-        Once the support of a propagation vector exceeds this fraction of the
-        nodes, the vector is stored densely (sparse bookkeeping no longer pays
-        off).
+        Once a vector's support reaches this fraction of the nodes, it is
+        advanced by the dense ``P @ x``.  Results do not depend on it.
     """
 
     def __init__(
@@ -56,6 +92,9 @@ class SMMState:
         dense_switch_fraction: float = 0.25,
     ) -> None:
         s, t = check_node_pair(s, t, graph.num_nodes)
+        dense_switch_fraction = check_positive(
+            dense_switch_fraction, "dense_switch_fraction", strict=False
+        )
         self._graph = graph
         self._s = s
         self._t = t
@@ -66,18 +105,9 @@ class SMMState:
         self._deg_s = float(graph.weighted_degrees[s])
         self._deg_t = float(graph.weighted_degrees[t])
         self._dense_switch = max(int(dense_switch_fraction * graph.num_nodes), 1)
-
         n = graph.num_nodes
-        # Column vectors stored in CSC form so that `.indices` exposes the row
-        # support directly (needed for the Eq. (17) frontier-cost accounting).
-        self._s_sparse: Optional[sp.csc_matrix] = sp.csc_matrix(
-            ([1.0], ([s], [0])), shape=(n, 1)
-        )
-        self._t_sparse: Optional[sp.csc_matrix] = sp.csc_matrix(
-            ([1.0], ([t], [0])), shape=(n, 1)
-        )
-        self._s_dense: Optional[np.ndarray] = None
-        self._t_dense: Optional[np.ndarray] = None
+        self._s_frontier = _Frontier(np.eye(1, n, s)[0], self._degrees, dense=False)
+        self._t_frontier = _Frontier(np.eye(1, n, t)[0], self._degrees, dense=False)
 
         self.iterations = 0
         self.spmv_operations = 0
@@ -100,79 +130,68 @@ class SMMState:
 
     def s_vector(self) -> np.ndarray:
         """Dense copy of ``s*`` (``s*(v) = p_i(v, s)`` after ``i`` iterations)."""
-        if self._s_dense is not None:
-            return self._s_dense.copy()
-        return np.asarray(self._s_sparse.todense()).reshape(-1)
+        return self._s_frontier.values.copy()
 
     def t_vector(self) -> np.ndarray:
         """Dense copy of ``t*``."""
-        if self._t_dense is not None:
-            return self._t_dense.copy()
-        return np.asarray(self._t_sparse.todense()).reshape(-1)
+        return self._t_frontier.values.copy()
 
-    def _entry(self, which: str, node: int) -> float:
-        if which == "s":
-            if self._s_dense is not None:
-                return float(self._s_dense[node])
-            return float(self._s_sparse[node, 0])
-        if self._t_dense is not None:
-            return float(self._t_dense[node])
-        return float(self._t_sparse[node, 0])
+    def top_two_values(self) -> tuple[float, float, float, float]:
+        """``(s_max1, s_max2, t_max1, t_max2)``: the two largest entries of ``s*`` and ``t*``.
 
-    def _support_degree_sum(self, which: str) -> int:
-        if which == "s":
-            if self._s_dense is not None:
-                support = np.flatnonzero(self._s_dense)
-            else:
-                support = self._s_sparse.indices if self._s_sparse.nnz else np.array([], dtype=np.int64)
-        else:
-            if self._t_dense is not None:
-                support = np.flatnonzero(self._t_dense)
-            else:
-                support = self._t_sparse.indices if self._t_sparse.nnz else np.array([], dtype=np.int64)
-        if len(support) == 0:
-            return 0
-        return int(self._degrees[support].sum())
+        Read over the supports only.  Equal to :func:`top_two_values` of the
+        dense vectors: off-support entries are 0 and support entries are > 0.
+        """
+        s, t = self._s_frontier, self._t_frontier
+        return (*top_two_values(s.values[s.support]), *top_two_values(t.values[t.support]))
 
     def next_iteration_cost(self) -> int:
         """Edge traversals the *next* SMM iteration would perform (Eq. (17) LHS)."""
-        return self._support_degree_sum("s") + self._support_degree_sum("t")
+        return self._s_frontier.cost + self._t_frontier.cost
 
     # ------------------------------------------------------------------ #
     # iteration
     # ------------------------------------------------------------------ #
     def _current_term(self) -> float:
+        s_values, t_values = self._s_frontier.values, self._t_frontier.values
         return (
-            self._entry("s", self._s) / self._deg_s
-            + self._entry("t", self._t) / self._deg_t
-            - self._entry("s", self._t) / self._deg_s
-            - self._entry("t", self._s) / self._deg_t
+            float(s_values[self._s]) / self._deg_s
+            + float(t_values[self._t]) / self._deg_t
+            - float(s_values[self._t]) / self._deg_s
+            - float(t_values[self._s]) / self._deg_t
         )
 
-    def _advance_vector(self, which: str) -> None:
-        if which == "s":
-            sparse, dense = self._s_sparse, self._s_dense
-        else:
-            sparse, dense = self._t_sparse, self._t_dense
-        if dense is not None:
-            new_dense = self._transition @ dense
-            new_sparse = None
-        else:
-            new_sparse = (self._transition @ sparse).tocsc()
-            new_dense = None
-            if new_sparse.nnz >= self._dense_switch:
-                new_dense = np.asarray(new_sparse.todense()).reshape(-1)
-                new_sparse = None
-        if which == "s":
-            self._s_sparse, self._s_dense = new_sparse, new_dense
-        else:
-            self._t_sparse, self._t_dense = new_sparse, new_dense
+    def _push(self, frontier: _Frontier) -> np.ndarray:
+        """``P @ x`` over the support: arc ``j → i`` carries ``P[i, j]·x[j]``.
+
+        ``np.bincount`` adds each row's contributions from +0.0 in input order;
+        ascending sources are CSR storage order when rows are sorted.
+        """
+        reverse_arcs, rows_sorted = _reverse_arcs(self._graph)
+        support, degrees = frontier.support, frontier.support_degrees
+        # The support's CSR rows back to back, in ascending row order.
+        first = self._graph.indptr[support] - (np.cumsum(degrees) - degrees)
+        positions = np.arange(frontier.cost) + np.repeat(first, degrees)
+        reverse = reverse_arcs[positions]
+        targets = self._graph.indices[positions]
+        pushed = self._transition.data[reverse] * np.repeat(frontier.values[support], degrees)
+        if not rows_sorted:
+            order = np.argsort(reverse)
+            targets, pushed = targets[order], pushed[order]
+        return np.bincount(targets, weights=pushed, minlength=self._graph.num_nodes)
+
+    def _advance(self, frontier: _Frontier) -> _Frontier:
+        if frontier.dense:
+            return _Frontier(self._transition @ frontier.values, self._degrees, dense=True)
+        advanced = _Frontier(self._push(frontier), self._degrees, dense=False)
+        advanced.dense = len(advanced.support) >= self._dense_switch
+        return advanced
 
     def step(self) -> float:
         """Perform one SMM iteration (Lines 4-5 of Algorithm 2); returns the new term."""
         self.spmv_operations += self.next_iteration_cost()
-        self._advance_vector("s")
-        self._advance_vector("t")
+        self._s_frontier = self._advance(self._s_frontier)
+        self._t_frontier = self._advance(self._t_frontier)
         self.iterations += 1
         term = self._current_term()
         self.estimate += term

@@ -5,7 +5,7 @@ The library operates on undirected graphs stored in compressed sparse row
 makes the random-walk kernel and the sparse matrix-vector products used
 throughout the paper fast: sampling a neighbour of node ``v`` is a single
 array gather (plus an alias-table lookup when the graph is weighted), and one
-SMM iteration is a ``scipy.sparse`` mat-vec.
+SMM iteration pushes along the CSR rows of its frontier.
 
 Weights generalise every quantity the estimators use: the weighted degree
 ``d(v) = Σ_u w(v, u)`` replaces the neighbour count, the transition matrix
@@ -69,6 +69,7 @@ class Graph:
         "_num_edges",
         "_alias_cache",
         "_cumweights_cache",
+        "_reverse_arcs_cache",
     )
 
     def __init__(
@@ -116,10 +117,11 @@ class Graph:
             self._total_weight = float(self._num_edges)
         else:
             self._total_weight = float(weights.sum()) / 2.0
-        # Memoised sampling artefacts (derived data, built lazily by
-        # repro.sampling and shared by every engine on this graph).
+        # Memoised derived data, built lazily by repro.sampling and
+        # repro.core.smm and shared by every engine on this graph.
         self._alias_cache = None
         self._cumweights_cache = None
+        self._reverse_arcs_cache = None
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
         self._degrees.setflags(write=False)
