@@ -50,7 +50,7 @@ from repro.sampling.walks import RandomWalkEngine
 
 # Fused-kernel workload: the huge-η*, long-ℓ regime of Figs. 8-9 (small ε),
 # where the materialised path's (η, ℓ) buffers dwarf the fused kernel's
-# 128-column score blocks.  Quick mode shrinks η for CI runners.
+# eight score lanes.  Quick mode shrinks η for CI runners.
 FUSED_ETA = 40_000 if QUICK else 150_000
 FUSED_LENGTH = 160
 FUSED_CHUNK = 8_192 if QUICK else 16_384
@@ -240,9 +240,9 @@ def test_fused_vs_materialised_scoring(big_graph):
             "backends": backend_payload,
             # The materialised path holds the (η, ℓ) int64 visit matrix plus
             # the (η, ℓ) float gather; the chunked kernel's walk buffer is
-            # bounded by chunk_size · min(ℓ, 128) floats regardless of η.
+            # its eight float64 score lanes of chunk_size walks, whatever η.
             "walk_buffer_bytes_materialised": FUSED_ETA * FUSED_LENGTH * 8,
-            "walk_buffer_bytes_chunked": FUSED_CHUNK * min(FUSED_LENGTH, 128) * 8,
+            "walk_buffer_bytes_chunked": 8 * FUSED_CHUNK * 8,
             "tracemalloc_peak_bytes_materialised": peak_materialised,
             "tracemalloc_peak_bytes_chunked": peak_chunked,
         },

@@ -99,12 +99,12 @@ class QueryBudget:
     #: (larger graphs defer the ARPACK solve to the next read).
     spectral_refresh_nodes: int = 4096
     #: Bound on the number of walks the fused AMC/GEER scoring kernel keeps in
-    #: flight (peak walk-buffer memory is O(walk_chunk_size · 128) floats).
+    #: flight (its score lanes hold 8 · walk_chunk_size floats).
     #: Chunked and unchunked execution are bit-identical under the same seed
     #: (see RandomWalkEngine.walk_scores), so this is a memory/cache knob for
     #: the huge η* regimes, not a semantics knob; the default keeps the walk
-    #: slabs cache-resident (~2x over the unchunked kernel on large batches).
-    #: ``None`` = unchunked.
+    #: slabs cache-resident (``fused_chunked_seconds`` vs ``fused_seconds`` in
+    #: benchmarks/results/BENCH_kernels.json).  ``None`` = unchunked.
     walk_chunk_size: Optional[int] = 16_384
     #: Walk-kernel backend for every engine built through this context:
     #: ``"numpy"`` (reference), ``"numba"`` (optional compiled kernels) or

@@ -5,11 +5,11 @@ transition) and :meth:`RandomWalkEngine._scores_block` (the fused
 step-and-score slab kernel) — is factored into swappable *backends*:
 
 * :mod:`repro.sampling.kernels.numpy_backend` is the reference
-  implementation, extracted verbatim from the engine's historical numpy
-  kernels (unchanged semantics, always available).
+  implementation (always available): lock-step numpy gathers, with scores
+  summed in eight lane vectors that replay numpy's pairwise sum.
 * :mod:`repro.sampling.kernels.numba_backend` compiles the same
   arithmetic with ``numba.njit`` — including the Vose alias draw for
-  weighted graphs and NumPy's 128-column pairwise-summation tree — so
+  weighted graphs and NumPy's pairwise-summation tree — so
   float results stay **bit-identical** to the numpy backend (DESIGN.md
   Contract 9).  It is optional: ``pip install repro[compiled]``.
 
@@ -41,9 +41,9 @@ from typing import Any, Optional
 import numpy as np
 
 #: Leaf size of NumPy's pairwise-summation tree (``PW_BLOCKSIZE`` in
-#: numpy/_core/src/umath/loops.c.src).  Score accumulation buffers at most
-#: this many step columns so that leaf sums — and therefore the full
-#: reduction — match ``weights[walk_matrix].sum(axis=1)`` bit-for-bit.
+#: numpy/_core/src/umath/loops_utils.h.src).  :func:`_pairwise_plan` cuts a
+#: walk into leaves of at most this many steps and every backend sums a leaf
+#: as NumPy does, so scores match ``weights[walk_matrix].sum(axis=1)``.
 _PAIRWISE_BLOCK = 128
 
 #: Valid values for ``QueryBudget.kernel_backend`` / ``--kernel-backend``.

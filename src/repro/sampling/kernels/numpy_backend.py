@@ -1,17 +1,18 @@
-"""Reference numpy walk kernels (extracted from ``RandomWalkEngine``).
+"""Reference numpy walk kernels.
 
 This module is the *definition* of the walk arithmetic: every other
 backend must reproduce these kernels bit-for-bit (DESIGN.md Contract 9).
-The code is the engine's historical ``_advance`` / ``_scores_block``
-bodies, unchanged, with the per-engine attributes replaced by a
-:class:`~repro.sampling.kernels.WalkKernelState` of plain arrays.
+``scores_block`` sums visited-node weights step by step in eight lane
+vectors that copy numpy's own pairwise sum, so its scores equal
+``weights[walk_matrix].sum(axis=1)`` bit-for-bit (Contract 1) with
+``8 · num_walks`` floats of score memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling.kernels import _PAIRWISE_BLOCK, WalkKernelState, _pairwise_plan
+from repro.sampling.kernels import WalkKernelState, _pairwise_plan
 from repro.utils.rng import random_choice_csr
 
 
@@ -84,70 +85,68 @@ class NumpyWalkBackend:
 
         ``stream_skip`` > 0 (chunked mode) advances ``rng`` past the other
         slabs' draws after every step so the slab stays aligned with the
-        global stream.  Scores accumulate through NumPy's exact pairwise
-        reduction tree (:func:`_pairwise_plan`): visited-node weights are
-        buffered in blocks of at most 128 step columns, each block reduced
-        with ``.sum(axis=1)`` and the partial sums merged ``left + right`` in
-        recursion order — reproducing ``weights[matrix].sum(axis=1)``
-        bit-for-bit with bounded memory.
+        global stream.  Each leaf of :func:`_pairwise_plan` is summed step by
+        step in eight lane vectors that replay numpy's ``DOUBLE_pairwise_sum``,
+        and the leaf totals merge ``left + right`` in recursion order —
+        reproducing ``weights[matrix].sum(axis=1)`` bit-for-bit in
+        ``8 · num_walks`` floats of score memory.
         """
         leaves, merges = _pairwise_plan(length)
-        block = np.empty((num_walks, min(length, _PAIRWISE_BLOCK)), dtype=np.float64)
-        stack: list[np.ndarray] = []
-        current = np.full(num_walks, start, dtype=np.int64)
-        # Buffered replica of ``advance``: every per-step array is
-        # preallocated and written through ``out=`` so the hot loop performs
-        # no allocations.  The arithmetic is op-for-op identical (same draws,
-        # same products, truncation == floor for non-negative values), so the
-        # sampled walks match the unbuffered kernel bit-for-bit.
-        starts = np.empty(num_walks, dtype=np.int64)
-        draws = np.empty(num_walks, dtype=np.float64)
-        offsets = np.empty(num_walks, dtype=np.int64)
-        clip = np.empty(num_walks, dtype=np.int64)
-        degrees = np.empty(num_walks, dtype=np.float64)
+        indptr, indices = state.indptr, state.indices
         uniform = state.uniform_degree
-        weighted = state.alias_prob is not None
-        if weighted:
-            frac = np.empty(num_walks, dtype=np.float64)
-            prob = np.empty(num_walks, dtype=np.float64)
-            alias = np.empty(num_walks, dtype=np.int64)
-            reject = np.empty(num_walks, dtype=bool)
+        current = np.full(num_walks, start, dtype=np.int64)
+        draws = np.empty(num_walks, dtype=np.float64)
+        stack: list[np.ndarray] = []
         for leaf_length, merge_count in zip(leaves, merges):
+            # DOUBLE_pairwise_sum on a leaf of n: columns below n - n % 8
+            # (none when n < 8) feed lane c % 8, the eight lanes combine as a
+            # fixed tree, and the remaining columns add in order.
+            unrolled = 0 if leaf_length < 8 else leaf_length - leaf_length % 8
+            lanes: list[np.ndarray] = []
+            total = None
             for column in range(leaf_length):
-                np.take(state.indptr, current, out=starts)
                 rng.random(out=draws)
                 if stream_skip:
                     rng.bit_generator.advance(stream_skip)
-                if uniform is not None:
-                    np.multiply(draws, float(uniform), out=draws)
-                    np.copyto(offsets, draws, casting="unsafe")
-                    np.minimum(offsets, uniform - 1, out=offsets)
+                # No clamp to degree - 1: the largest draw is 1 - 2**-53 and
+                # fl((1 - 2**-53) * d) < d for every integer d < 2**53; the
+                # offset grows with the draw, so no draw reaches d.
+                if uniform is None:
+                    draws *= state.degrees_float[current]
                 else:
-                    np.take(state.degrees_float, current, out=degrees)
-                    np.multiply(draws, degrees, out=draws)
-                    np.copyto(offsets, draws, casting="unsafe")
-                    np.copyto(clip, degrees, casting="unsafe")
-                    clip -= 1
-                    np.minimum(offsets, clip, out=offsets)
-                starts += offsets
-                if weighted:
-                    # Vose acceptance on the draw's fractional part: same
-                    # buffered discipline, three extra gathers per step.
-                    np.subtract(draws, offsets, out=frac)
-                    np.take(state.alias_prob, starts, out=prob)
-                    np.greater_equal(frac, prob, out=reject)
-                    np.take(state.indices, starts, out=current)
-                    np.take(state.alias_node, starts, out=alias)
-                    np.copyto(current, alias, where=reject)
+                    draws *= uniform
+                offsets = draws.astype(np.int64)
+                positions = indptr[current]
+                positions += offsets
+                if state.alias_prob is None:
+                    current = indices[positions]
                 else:
-                    np.take(state.indices, starts, out=current)
-                block[:, column] = weights[current]
-            partial = block[:, :leaf_length].sum(axis=1)
+                    # Vose acceptance on the draw's fractional part.
+                    current = np.where(
+                        draws - offsets < state.alias_prob[positions],
+                        indices[positions],
+                        state.alias_node[positions],
+                    )
+                visited = weights[current]
+                if column < unrolled:
+                    if column < 8:
+                        lanes.append(visited)
+                    else:
+                        lanes[column % 8] += visited
+                    if column == unrolled - 1:
+                        l0, l1, l2, l3, l4, l5, l6, l7 = lanes
+                        total = ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+                elif total is None:
+                    total = visited  # numpy starts at -0.0, and -0.0 + x == x
+                else:
+                    total += visited
+            # numpy's identity add: 0.0 + res turns a -0.0 total into +0.0.
+            total += 0.0
             for _ in range(merge_count):
-                right = partial
-                partial = stack.pop()
-                partial += right
-            stack.append(partial)
+                right = total
+                total = stack.pop()
+                total += right
+            stack.append(total)
         assert len(stack) == 1
         out[:] = stack[0]
 

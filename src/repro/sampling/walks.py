@@ -12,11 +12,11 @@ Three access patterns are provided:
   accumulation**: walks are advanced in lock-step and every visited node's
   weight is folded into a per-walk running score, so the caller never
   materialises a walk matrix.  This is the hot kernel behind AMC and GEER's
-  tail stage — peak memory is ``O(num_walks · min(length, 128))`` instead of
-  the ``O(num_walks · length)`` of the materialised path, and an optional
-  chunked driver (``chunk_size``) bounds it further by processing walks in
-  slabs.  Both modes are **bit-identical** to scoring a materialised walk
-  matrix under the same seed — see *Determinism* below.
+  tail stage — score memory is eight lane vectors, ``8 · num_walks`` floats,
+  instead of the ``O(num_walks · length)`` of the materialised path, and an
+  optional chunked driver (``chunk_size``) bounds it further by processing
+  walks in slabs.  Both modes are **bit-identical** to scoring a
+  materialised walk matrix under the same seed — see *Determinism* below.
 * :meth:`RandomWalkEngine.walk_matrix` materialises the full ``(k, length)``
   matrix of visited nodes — kept for callers that genuinely need every
   visited node, and as the reference the fused kernel is tested against.
@@ -33,8 +33,8 @@ The engine upholds two exact-equivalence contracts (see DESIGN.md):
 1. **Fused ≡ materialised.**  ``walk_scores(s, k, ℓ, w)`` consumes the random
    stream exactly like ``walk_matrix(s, k, ℓ)`` (one ``rng.random(k)`` draw
    per step) and accumulates scores with the same floating-point association
-   as ``w[matrix].sum(axis=1)`` — NumPy's pairwise summation tree is
-   replicated over bounded step blocks — so the returned scores are
+   as ``w[matrix].sum(axis=1)`` — NumPy's pairwise summation is replayed
+   step by step in eight lane vectors per leaf — so the returned scores are
    bit-for-bit identical to the materialised computation.
 2. **Chunked ≡ unchunked.**  With ``chunk_size`` set, walks are processed in
    slabs, but each slab's generator is *advanced* to the exact offsets the
@@ -53,12 +53,7 @@ import numpy as np
 from repro.fault import FAULTS
 from repro.graph.graph import Graph
 from repro.obs import NULL_OBS, Observability
-from repro.sampling.kernels import (
-    _PAIRWISE_BLOCK,
-    WalkKernelState,
-    _pairwise_plan,
-    resolve_backend,
-)
+from repro.sampling.kernels import WalkKernelState, _pairwise_plan, resolve_backend
 from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_integer, check_node
 
@@ -303,10 +298,10 @@ class RandomWalkEngine:
         Returns the length-``num_walks`` vector whose entry ``k`` equals
         ``weights[walk_matrix(start, num_walks, length)[k]].sum()`` — the
         per-walk sum of visited-node weights of Algorithm 1 — **bit-for-bit**,
-        without ever materialising the walk matrix.  Peak memory is
-        ``O(num_walks · min(length, 128))`` for the pairwise score blocks, or
-        ``O(chunk_size · min(length, 128))`` when ``chunk_size`` bounds the
-        number of walks in flight (the huge ``η*`` regimes of Figs. 8–9).
+        without ever materialising the walk matrix.  Scores are summed in
+        eight lane vectors, ``8 · num_walks`` floats, or ``8 · chunk_size``
+        when ``chunk_size`` bounds the number of walks in flight (the huge
+        ``η*`` regimes of Figs. 8–9).
 
         Parameters
         ----------
@@ -323,6 +318,8 @@ class RandomWalkEngine:
         start = check_node(start, self._graph.num_nodes, "start")
         check_integer(num_walks, "num_walks", minimum=0)
         check_integer(length, "length", minimum=0)
+        if chunk_size is not None:
+            chunk_size = check_integer(chunk_size, "chunk_size", minimum=1)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (self._graph.num_nodes,):
             raise ValueError("weights must be a length-n vector")
@@ -343,7 +340,6 @@ class RandomWalkEngine:
                 )
             self.total_steps += num_walks * length
             return scores
-        chunk_size = check_integer(chunk_size, "chunk_size", minimum=1)
         scores = np.empty(num_walks, dtype=np.float64)
         base = self._rng.bit_generator
         with tracer.span(
@@ -388,12 +384,12 @@ class RandomWalkEngine:
 
         ``stream_skip`` > 0 (chunked mode) advances ``rng`` past the other
         slabs' draws after every step so the slab stays aligned with the
-        global stream.  Scores accumulate through NumPy's exact pairwise
-        reduction tree (:func:`_pairwise_plan`): visited-node weights are
-        buffered in blocks of at most 128 step columns, each block reduced
-        with ``.sum(axis=1)`` and the partial sums merged ``left + right`` in
-        recursion order — reproducing ``weights[matrix].sum(axis=1)``
-        bit-for-bit with bounded memory.
+        global stream.  Scores follow NumPy's exact pairwise reduction tree
+        (:func:`_pairwise_plan`): each leaf is summed step by step in eight
+        lane vectors that replay NumPy's leaf sum, and the leaf totals merge
+        ``left + right`` in recursion order — reproducing
+        ``weights[matrix].sum(axis=1)`` bit-for-bit in ``8 · num_walks``
+        floats.
         """
         self._kernels.scores_block(
             self._kernel_state, start, num_walks, length, weights, rng,

@@ -103,11 +103,11 @@ def random_choice_csr(
     draws = rng.random(len(nodes))
     draws *= node_degrees
     offsets = draws.astype(np.int64)
-    # Guard against the (measure-zero, but floating-point-possible) case where
-    # rng.random() returns a value so close to 1.0 that the offset equals the
-    # degree after truncation (truncation == floor for these non-negative
-    # products, so the offsets match the historical floor-then-cast kernel
-    # bit-for-bit).
+    # The clamp to degree - 1 never fires for Generator.random() draws (the
+    # largest, 1 - 2**-53, times an integer d < 2**53 rounds below d); it stays
+    # in this reference step the fused walk kernel is tested against.
+    # Truncation == floor for these non-negative products, so the offsets
+    # match the historical floor-then-cast kernel bit-for-bit.
     np.minimum(offsets, node_degrees.astype(np.int64) - 1, out=offsets)
     return indices[starts + offsets]
 

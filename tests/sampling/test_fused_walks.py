@@ -83,19 +83,55 @@ class TestPairwisePlan:
         assert np.array_equal(stack[0], values.sum(axis=1))
 
 
+#: Scoring weights where the summation order shows: exact zeros of both
+#: signs, subnormals, and magnitudes far enough apart that reassociating a
+#: sum changes its last bits (or its sign of zero).
+WEIGHT_PALETTE = (
+    0.0, -0.0, 5e-324, -2.5e-310, 1e-300, -0.7, 1.0, 3.25, 1e16, -1e16, 1e300,
+)
+
+#: Lengths at the edges of numpy's pairwise leaves: the running sum below 8,
+#: the eight-lane unroll, the 128-element leaf and the first recursive split.
+LEAF_EDGE_LENGTHS = (
+    *range(1, 10), 15, 16, 17, 127, 128, 129, 255, 256, 257,
+)
+
+RING = cycle_graph(64)
+
+
 class TestFusedEqualsMaterialised:
     @given(
         num_walks=st.integers(0, 300),
-        length=st.integers(0, 200),
+        length=st.one_of(st.integers(0, 200), st.sampled_from(LEAF_EDGE_LENGTHS)),
         seed=st.integers(0, 2**31 - 1),
+        palette=st.one_of(
+            st.none(),
+            st.just([-0.0]),
+            st.lists(st.sampled_from(WEIGHT_PALETTE), min_size=1, max_size=5),
+        ),
+        on_ring=st.booleans(),
+        chunk_size=st.one_of(st.none(), st.integers(1, 300)),
     )
-    @SETTINGS
-    def test_bit_identical_scores_and_step_counts(self, graph, weights, num_walks, length, seed):
+    @settings(SETTINGS, max_examples=60)
+    def test_bit_identical_scores_and_step_counts(
+        self, graph, weights, num_walks, length, seed, palette, on_ring, chunk_size
+    ):
+        # The numpy backend replays numpy's pairwise summation rather than
+        # calling it, so a numpy release that changes that sum fails here.
+        if on_ring:
+            graph = RING
+        if palette is not None:
+            weights = np.random.default_rng(seed).choice(palette, graph.num_nodes)
+        elif on_ring:
+            weights = np.random.default_rng(seed).random(graph.num_nodes) - 0.3
         materialised = RandomWalkEngine(graph, rng=seed)
         fused = RandomWalkEngine(graph, rng=seed)
         expected = weights[materialised.walk_matrix(7, num_walks, length)].sum(axis=1)
-        actual = fused.walk_scores(7, num_walks, length, weights)
-        assert np.array_equal(expected, actual)
+        actual = fused.walk_scores(7, num_walks, length, weights, chunk_size=chunk_size)
+        assert expected.tobytes() == actual.tobytes(), (
+            f"fused scores differ from numpy {np.__version__}'s "
+            "weights[walk_matrix].sum(axis=1)"
+        )
         assert materialised.total_steps == fused.total_steps
         # both engines must leave the shared stream in the same state
         assert np.array_equal(materialised.rng.random(3), fused.rng.random(3))
@@ -131,6 +167,30 @@ class TestFusedEqualsMaterialised:
         engine = RandomWalkEngine(graph, rng=1)
         with pytest.raises(ValueError, match="length-n"):
             engine.walk_scores(0, 4, 3, np.ones(graph.num_nodes + 1))
+
+    @pytest.mark.parametrize("num_walks", [0, 2, 5])
+    @pytest.mark.parametrize("chunk_size", ["8", 2.5, 0])
+    def test_chunk_size_validated_for_every_walk_count(
+        self, graph, weights, num_walks, chunk_size
+    ):
+        engine = RandomWalkEngine(graph, rng=1)
+        with pytest.raises(ValueError, match="chunk_size"):
+            engine.walk_scores(0, num_walks, 3, weights, chunk_size=chunk_size)
+
+    def test_largest_draw_never_reaches_the_degree(self):
+        # The fused kernel truncates draw * degree without clamping to
+        # degree - 1.  Generator.random() returns k * 2**-53, so its largest
+        # value is 1 - 2**-53; the offset grows with the draw, so the largest
+        # draw covers every draw.
+        largest = np.nextafter(1.0, 0.0)
+        assert largest == 1 - 2**-53
+        for lo in range(1, 2**24, 2**20):
+            degrees = np.arange(lo, min(lo + 2**20, 2**24), dtype=np.int64)
+            offsets = (largest * degrees.astype(np.float64)).astype(np.int64)
+            assert np.array_equal(offsets, degrees - 1)
+        for k in range(1, 53):
+            for d in (2**k - 1, 2**k, 2**k + 1):
+                assert np.int64(largest * float(d)) == d - 1, d
 
     def test_functional_shortcut_matches_engine(self, graph, weights):
         from_engine = RandomWalkEngine(graph, rng=21).walk_scores(2, 25, 12, weights)

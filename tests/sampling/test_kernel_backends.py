@@ -15,7 +15,7 @@ Two families of tests:
   twin" backend) they execute the same IEEE-754 float64 scalar
   arithmetic CPython-side.  Hex-equality of the twin against the numpy
   backend therefore proves Contract 9's algorithm on numba-free hosts:
-  step draws, Vose alias acceptance, the replicated 128-column pairwise
+  step draws, Vose alias acceptance, the replicated 128-step pairwise
   summation tree (including numpy's ``-0.0 → +0.0`` identity add), and
   the chunked stream bookkeeping.  CI's with-numba leg re-proves the
   compiled artifacts against the same fixtures.
