@@ -1,4 +1,10 @@
-"""Fig. 8 — effect of the batch count τ on AMC and GEER at ε = 0.2."""
+"""Fig. 8 — effect of the batch count τ on AMC and GEER at ε = 0.2.
+
+AMC skips the futile batches of its schedule — those whose range term alone
+misses ε/2, more of them as τ grows — instead of walking and discarding them
+(DESIGN.md Contract 11), so at large τ the running times here leave out work
+the paper's curves include: its implementation walks every batch.
+"""
 
 from __future__ import annotations
 

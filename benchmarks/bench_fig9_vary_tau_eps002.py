@@ -3,6 +3,12 @@
 At this small ε, plain AMC's walk budget explodes; its per-query work is capped
 by ``max_total_steps`` (see EXPERIMENTS.md), so the AMC series here is a lower
 bound on its faithful cost while GEER completes its queries legitimately.
+
+AMC skips the futile batches of its schedule — those whose range term alone
+misses ε/2, more of them as τ grows — instead of walking and discarding them
+(DESIGN.md Contract 11), so at large τ the running times here leave out work
+the paper's curves include: its implementation walks every batch.  The cap
+still charges skipped batches, so capped queries stop where they did before.
 """
 
 from __future__ import annotations

@@ -16,6 +16,13 @@ immediately when GEER feeds in smoothed vectors — AMC stops long before the
 worst-case Hoeffding budget ``η*`` (Eq. (8)) is spent.  Per the paper, each new
 batch discards the previous one (the samples must be i.i.d. for Lemma 3.2), so
 the final batch alone determines the estimate.
+
+A batch whose range term ``3ψ log(3τ/δ)/η`` alone exceeds ε/2 cannot stop
+whatever its variance, so when a later batch is sure to run it is *futile*:
+instead of walking it, the generator moves past the draws it would have used
+(DESIGN.md Contract 11).  The answer, the reported schedule and the stream
+state afterwards are those of running it; only the step counts, which count
+walks actually taken, are smaller.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from repro.sampling.concentration import (
     top_two_values,
 )
 from repro.sampling.walks import RandomWalkEngine
-from repro.utils.rng import RngLike
+from repro.utils.rng import RngLike, skip_doubles
 from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_integer,
@@ -49,7 +56,10 @@ from repro.utils.validation import (
 
 @dataclass
 class AMCResult:
-    """Raw outcome of the AMC core (an estimate of ``q(s, t)``, not of ``r(s, t)``)."""
+    """Raw outcome of the AMC core (an estimate of ``q(s, t)``, not of ``r(s, t)``).
+
+    ``skipped_batches`` counts the futile batches whose walks were never taken.
+    """
 
     value: float
     psi: float
@@ -61,6 +71,7 @@ class AMCResult:
     empirical_variance: float
     budget_exhausted: bool = False
     batch_sizes: list[int] = field(default_factory=list)
+    skipped_batches: int = 0
 
 
 def amc_estimate(
@@ -107,7 +118,9 @@ def amc_estimate(
         algorithm has no such cap; it exists so that laptop-scale benchmark
         sweeps can include configurations whose faithful cost would be
         excessive.  When the cap triggers, ``budget_exhausted`` is set and the
-        ε guarantee no longer holds.
+        ε guarantee no longer holds.  Every scheduled batch is charged against
+        the cap, futile ones that are skipped included, so a capped query is
+        cut short exactly where running every batch would cut it.
     walk_chunk_size:
         Optional bound on the number of walks simulated simultaneously by the
         fused scoring kernel (see
@@ -119,7 +132,9 @@ def amc_estimate(
     -------
     AMCResult
         ``value`` estimates ``q(s, t)``.  The caller converts it to an estimate
-        of ``r(s, t)`` (see :func:`amc_query` and GEER).
+        of ``r(s, t)`` (see :func:`amc_query` and GEER).  ``num_batches`` and
+        ``batch_sizes`` list skipped batches too; ``total_steps`` counts only
+        the steps walked.
     """
     s, t = check_node_pair(s, t, graph.num_nodes)
     epsilon = check_positive(epsilon, "epsilon")
@@ -165,24 +180,51 @@ def amc_estimate(
     empirical_variance = 0.0
     total_walks = 0
     total_steps = 0
+    charged_steps = 0  # what max_total_steps sees: skipped batches count too
     batches_run = 0
+    skipped_batches = 0
     batch_sizes: list[int] = []
     budget_exhausted = False
+    pair_steps = 2 * walk_length
 
     for batch_index in range(num_batches):
         eta_batch = eta
         if max_total_steps is not None:
-            # Spend whatever step budget remains instead of skipping the batch:
+            # Spend whatever step budget remains instead of dropping the batch:
             # the returned estimate is then the best achievable within the cap
             # (flagged via budget_exhausted, since the eps guarantee is void).
-            remaining = max_total_steps - total_steps
-            allowed = remaining // max(1, 2 * walk_length)
+            remaining = max_total_steps - charged_steps
+            allowed = remaining // pair_steps
             if allowed < 1:
                 budget_exhausted = True
                 break
             if allowed < eta_batch:
                 eta_batch = int(allowed)
                 budget_exhausted = True
+        batch_steps = eta_batch * pair_steps
+        charged_steps += batch_steps
+        total_walks = 2 * eta_batch
+        batches_run += 1
+        batch_sizes.append(eta_batch)
+        # Futile batch (DESIGN.md Contract 11): at σ̂² = 0 the radius is the
+        # range term alone and the real radius is no smaller, so a batch whose
+        # range term exceeds ε/2 cannot stop.  If the next batch is sure to
+        # run — this one is not the last and the cap leaves the next at least
+        # one walk (a batch the cap cut short leaves less) — it overwrites
+        # everything this batch would set, so the stream just moves past
+        # this batch's draws.
+        next_batch_runs = batch_index < num_batches - 1 and (
+            max_total_steps is None or max_total_steps - charged_steps >= pair_steps
+        )
+        if (
+            next_batch_runs
+            and empirical_bernstein_error(eta_batch, 0.0, psi, delta / num_batches)
+            > epsilon / 2.0
+            and skip_doubles(engine.rng, batch_steps)
+        ):
+            skipped_batches += 1
+            eta *= 2
+            continue
         # Fused stepping + scoring: never materialises the (η, ℓ) walk
         # matrices, yet is bit-identical to scoring them (same draw sequence,
         # same pairwise summation tree — see RandomWalkEngine.walk_scores).
@@ -193,10 +235,7 @@ def amc_estimate(
             t, eta_batch, walk_length, weights, chunk_size=walk_chunk_size
         )
         scores = scores_s - scores_t
-        total_steps += 2 * eta_batch * walk_length
-        total_walks = 2 * eta_batch
-        batches_run += 1
-        batch_sizes.append(eta_batch)
+        total_steps += batch_steps
 
         estimate = float(scores.mean())
         empirical_variance = float(scores.var())  # biased variance, as in Lemma 3.2
@@ -218,6 +257,7 @@ def amc_estimate(
         empirical_variance=empirical_variance,
         budget_exhausted=budget_exhausted,
         batch_sizes=batch_sizes,
+        skipped_batches=skipped_batches,
     )
 
 
@@ -287,6 +327,7 @@ def amc_query(
             "eta_star": core.eta_star,
             "empirical_error": core.empirical_error,
             "empirical_variance": core.empirical_variance,
+            "skipped_batches": core.skipped_batches,
         },
     )
 

@@ -52,9 +52,13 @@ def _worst_case_walk_budget(
 ) -> int:
     """``h(ℓ - ℓ_b)``: the total walks AMC may need for the remaining tail.
 
-    ``h = (2^τ - 1) ⌈η* / 2^(τ-1)⌉ < 2 η*`` (Section 3.3.2), with η* computed
-    from the ψ of the *current* propagation vectors; ``top_two`` is their
+    ``h = (2^τ - 1) ⌈η* / 2^(τ-1)⌉`` (Section 3.3.2), with η* computed from
+    the ψ of the *current* propagation vectors; ``top_two`` is their
     ``(s_max1, s_max2, t_max1, t_max2)`` (:meth:`SMMState.top_two_values`).
+    Since the ceiling adds less than one, ``h < 2 η* + 2^τ - 1``; ``h < 2 η*``
+    fails when it rounds a small η* up (η* = 3, τ = 5 gives h = 31).  AMC's
+    skipped futile batches make the real worst case cheaper, but h picks ℓ_b
+    through Eq. (17), so it stays the paper's count (DESIGN.md Contract 11).
     """
     if tail_length <= 0:
         return 0
@@ -184,6 +188,7 @@ def geer_query(
             "psi": amc_result.psi,
             "eta_star": amc_result.eta_star,
             "empirical_error": amc_result.empirical_error,
+            "skipped_batches": amc_result.skipped_batches,
         },
     )
 

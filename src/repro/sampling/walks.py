@@ -39,9 +39,11 @@ The engine upholds two exact-equivalence contracts (see DESIGN.md):
 2. **Chunked ≡ unchunked.**  With ``chunk_size`` set, walks are processed in
    slabs, but each slab's generator is *advanced* to the exact offsets the
    unchunked kernel would have used (``PCG64.advance``), so every walk sees
-   the very same draws and the result is bit-identical to ``chunk_size=None``.
-   Bit generators without ``advance`` (e.g. MT19937) fall back to a single
-   chunk rather than silently changing the walks.
+   the very same draws and the result is bit-identical to ``chunk_size=None``,
+   the main generator's state afterwards included (its buffered 32-bit half
+   too, see :func:`~repro.utils.rng.skip_doubles`).  Bit generators whose
+   ``advance`` does not count doubles (Philox) or that have none (MT19937,
+   SFC64) fall back to a single chunk rather than silently changing the walks.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.fault import FAULTS
 from repro.graph.graph import Graph
 from repro.obs import NULL_OBS, Observability
 from repro.sampling.kernels import WalkKernelState, _pairwise_plan, resolve_backend
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, as_generator, skip_doubles
 from repro.utils.validation import check_integer, check_node
 
 
@@ -311,9 +313,9 @@ class RandomWalkEngine:
             Optional bound on the number of simultaneous walks.  Chunking
             preserves the exact draw assignment of the unchunked kernel by
             advancing a cloned generator to each slab's stream offsets, so
-            results are identical for every chunk size (requires a bit
-            generator with ``advance`` — the ``default_rng`` PCG64 qualifies;
-            others fall back to one chunk).
+            results are identical for every chunk size (requires a PCG64 or
+            PCG64DXSM bit generator — ``default_rng``'s qualifies; others
+            fall back to one chunk, see :func:`~repro.utils.rng.skip_doubles`).
         """
         start = check_node(start, self._graph.num_nodes, "start")
         check_integer(num_walks, "num_walks", minimum=0)
@@ -329,7 +331,7 @@ class RandomWalkEngine:
         if (
             chunk_size is None
             or chunk_size >= num_walks
-            or not hasattr(self._rng.bit_generator, "advance")
+            or not skip_doubles(self._rng, 0)
         ):
             scores = np.empty(num_walks, dtype=np.float64)
             with tracer.span(
@@ -367,7 +369,7 @@ class RandomWalkEngine:
                 self.total_steps += (hi - lo) * length
         # The main stream consumed nothing directly; move it past the draws
         # the slabs used so subsequent calls see the unchunked stream state.
-        base.advance(num_walks * length)
+        skip_doubles(self._rng, num_walks * length)
         return scores
 
     def _scores_block(

@@ -65,6 +65,30 @@ def derive_seed(rng: RngLike, *labels: Union[int, str]) -> int:
     return mix
 
 
+def skip_doubles(rng: np.random.Generator, count: int) -> bool:
+    """Move ``rng`` past ``count`` ``rng.random()`` doubles without drawing them.
+
+    Returns whether the generator can do so exactly; ``count=0`` only asks.
+    Only PCG64 and PCG64DXSM qualify: their ``advance(k)`` steps the stream
+    by k 64-bit outputs, one per double.  Philox's ``advance`` counts blocks
+    of four outputs, and MT19937 and SFC64 have none — for those nothing
+    moves and the caller must draw.  ``advance`` also clears the buffered
+    32-bit half (``has_uint32``/``uinteger``) that drawing doubles leaves
+    alone, so the skip puts it back: the state afterwards equals drawing.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        return False
+    if count:
+        before = bit_generator.state
+        bit_generator.advance(count)
+        after = bit_generator.state
+        after["has_uint32"] = before["has_uint32"]
+        after["uinteger"] = before["uinteger"]
+        bit_generator.state = after
+    return True
+
+
 def random_choice_csr(
     rng: np.random.Generator,
     indptr: np.ndarray,
@@ -112,4 +136,7 @@ def random_choice_csr(
     return indices[starts + offsets]
 
 
-__all__ = ["RngLike", "as_generator", "spawn_generators", "derive_seed", "random_choice_csr"]
+__all__ = [
+    "RngLike", "as_generator", "spawn_generators", "derive_seed", "skip_doubles",
+    "random_choice_csr",
+]

@@ -7,7 +7,7 @@ equality, not tolerances:
    seed (same draw sequence, same pairwise summation tree);
 2. chunked ≡ unchunked for every chunk size, including the post-call random
    stream state (the chunked driver advances the main generator to exactly
-   where unchunked execution would have left it).
+   where unchunked execution would have left it, buffered 32-bit half and all).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.amc import amc_query
+from repro.core.engine import QueryEngine
 from repro.core.geer import geer_query
 from repro.core.registry import QueryBudget, QueryContext
 from repro.graph.builders import with_random_weights
@@ -204,26 +205,39 @@ class TestChunkedEqualsUnchunked:
         length=st.integers(1, 150),
         chunk_size=st.integers(1, 250),
         seed=st.integers(0, 2**31 - 1),
+        buffered=st.booleans(),
     )
     @SETTINGS
     def test_bit_identical_for_every_chunk_size(
-        self, graph, weights, num_walks, length, chunk_size, seed
+        self, graph, weights, num_walks, length, chunk_size, seed, buffered
     ):
         unchunked = RandomWalkEngine(graph, rng=seed)
         chunked = RandomWalkEngine(graph, rng=seed)
+        if buffered:
+            # a 32-bit draw leaves half of a 64-bit output buffered in the state
+            for engine in (unchunked, chunked):
+                engine.rng.integers(0, 7, dtype=np.int32)
         expected = unchunked.walk_scores(3, num_walks, length, weights)
         actual = chunked.walk_scores(3, num_walks, length, weights, chunk_size=chunk_size)
         assert np.array_equal(expected, actual)
         assert unchunked.total_steps == chunked.total_steps
         # the chunked driver must leave the main stream exactly where the
         # unchunked kernel would have (subsequent draws stay aligned)
+        assert unchunked.rng.bit_generator.state == chunked.rng.bit_generator.state
+        assert unchunked.rng.integers(0, 2**32, dtype=np.uint32) == chunked.rng.integers(
+            0, 2**32, dtype=np.uint32
+        )
         assert np.array_equal(unchunked.rng.random(4), chunked.rng.random(4))
 
-    def test_fallback_without_advance_support(self, graph, weights):
-        # MT19937 has no advance(): chunking falls back to a single chunk
-        # rather than silently changing which draws feed which walk.
-        legacy = np.random.Generator(np.random.MT19937(5))
-        reference = np.random.Generator(np.random.MT19937(5))
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_fallback_without_advance_support(self, graph, weights, bit_generator):
+        # MT19937 and SFC64 have no advance(), and Philox's counts blocks of
+        # four doubles: chunking falls back to a single chunk rather than
+        # silently changing which draws feed which walk.
+        legacy = np.random.Generator(bit_generator(5))
+        reference = np.random.Generator(bit_generator(5))
         chunked = RandomWalkEngine(graph, rng=legacy).walk_scores(
             0, 50, 20, weights, chunk_size=7
         )
@@ -259,6 +273,22 @@ class TestEstimatorsInvariantUnderChunking:
             walk_chunk_size=chunk,
         )
         assert chunked.value == baseline.value
+
+    def test_session_after_buffered_draws_invariant(self):
+        """HAY's spanning-tree draws (32-bit) leave half an output buffered in
+        the session generator, which GEER's chunked walks must carry along."""
+        graph = barabasi_albert_graph(300, 3, rng=5)
+        edge = (0, int(graph.indices[graph.indptr[0]]))
+
+        def session(chunk):
+            engine = QueryEngine(graph, rng=11, budget=QueryBudget(walk_chunk_size=chunk))
+            values = []
+            for t in (100, 101, 102):
+                values.append(engine.query(*edge, 0.3, method="hay").value.hex())
+                values.append(engine.query(3, t, 0.05, method="geer").value.hex())
+            return values
+
+        assert session(64) == session(None)
 
     def test_budget_chunk_size_threads_through_registry(self, graph):
         tight = QueryContext(graph, rng=6, budget=QueryBudget(walk_chunk_size=4))
