@@ -38,9 +38,9 @@ from repro.core.result import EstimateResult
 from repro.core.walk_length import refined_walk_length
 from repro.graph.graph import Graph
 from repro.sampling.concentration import (
-    amc_psi,
-    amc_sample_budget,
-    empirical_bernstein_error,
+    _amc_psi,
+    _amc_sample_budget,
+    _empirical_bernstein_error,
     top_two_values,
 )
 from repro.sampling.walks import RandomWalkEngine
@@ -135,12 +135,25 @@ def amc_estimate(
         of ``r(s, t)`` (see :func:`amc_query` and GEER).  ``num_batches`` and
         ``batch_sizes`` list skipped batches too; ``total_steps`` counts only
         the steps walked.
+
+    Raises
+    ------
+    ValueError
+        Checked once, here: ``s`` and ``t`` are nodes of positive degree, ε,
+        δ, τ and ℓ_f are in range, and both vectors are length-n, finite and
+        non-negative.  ψ, η* and the Lemma 3.2 radii are not re-checked.
     """
     s, t = check_node_pair(s, t, graph.num_nodes)
     epsilon = check_positive(epsilon, "epsilon")
     delta = check_probability(delta, "delta")
     num_batches = check_integer(num_batches, "num_batches", minimum=1)
     walk_length = check_integer(walk_length, "walk_length", minimum=0)
+    deg_s = float(graph.weighted_degrees[s])
+    deg_t = float(graph.weighted_degrees[t])
+    if not deg_s > 0:
+        raise ValueError(f"s={s} is an isolated node: AMC needs d(s) > 0")
+    if not deg_t > 0:
+        raise ValueError(f"t={t} is an isolated node: AMC needs d(t) > 0")
 
     s_vector = np.asarray(s_vector, dtype=np.float64)
     t_vector = np.asarray(t_vector, dtype=np.float64)
@@ -148,12 +161,13 @@ def amc_estimate(
         raise ValueError("s_vector and t_vector must be length-n vectors")
     if s_vector.min() < 0 or t_vector.min() < 0:
         raise ValueError("s_vector and t_vector must be non-negative (Lemma 3.3)")
-
-    deg_s = float(graph.weighted_degrees[s])
-    deg_t = float(graph.weighted_degrees[t])
+    # max1 is NaN when any entry is: with the minimum checked, a finite max1
+    # makes the whole vector finite.
     s_max1, s_max2 = top_two_values(s_vector)
     t_max1, t_max2 = top_two_values(t_vector)
-    psi = amc_psi(walk_length, deg_s, deg_t, s_max1, s_max2, t_max1, t_max2)
+    if not (math.isfinite(s_max1) and math.isfinite(t_max1)):
+        raise ValueError("s_vector and t_vector must be finite")
+    psi = _amc_psi(walk_length, deg_s, deg_t, s_max1, s_max2, t_max1, t_max2)
 
     if walk_length == 0 or psi == 0.0:
         # No tail left to estimate: q(s, t) = 0 deterministically.
@@ -168,11 +182,12 @@ def amc_estimate(
             empirical_variance=0.0,
         )
 
-    eta_star = amc_sample_budget(psi, epsilon, delta, num_batches)
+    eta_star = _amc_sample_budget(psi, epsilon, delta, num_batches)
     eta = max(1, math.ceil(eta_star / 2 ** (num_batches - 1)))
 
     if engine is None:
         engine = RandomWalkEngine(graph, rng=rng)
+    can_skip = skip_doubles(engine.rng, 0)
     weights = s_vector / deg_s - t_vector / deg_t
 
     estimate = 0.0
@@ -183,6 +198,7 @@ def amc_estimate(
     charged_steps = 0  # what max_total_steps sees: skipped batches count too
     batches_run = 0
     skipped_batches = 0
+    pending_skip = 0  # draws of skipped batches the stream has yet to move past
     batch_sizes: list[int] = []
     budget_exhausted = False
     pair_steps = 2 * walk_length
@@ -217,14 +233,21 @@ def amc_estimate(
             max_total_steps is None or max_total_steps - charged_steps >= pair_steps
         )
         if (
-            next_batch_runs
-            and empirical_bernstein_error(eta_batch, 0.0, psi, delta / num_batches)
+            can_skip
+            and next_batch_runs
+            and _empirical_bernstein_error(eta_batch, 0.0, psi, delta / num_batches)
             > epsilon / 2.0
-            and skip_doubles(engine.rng, batch_steps)
         ):
             skipped_batches += 1
+            pending_skip += batch_steps
             eta *= 2
             continue
+        # The range term shrinks as batches double, so the futile batches are
+        # a prefix, and a batch that runs follows it: one skip moves past all
+        # of them, and nothing is pending once the loop ends.
+        if pending_skip:
+            skip_doubles(engine.rng, pending_skip)
+            pending_skip = 0
         # Fused stepping + scoring: never materialises the (η, ℓ) walk
         # matrices, yet is bit-identical to scoring them (same draw sequence,
         # same pairwise summation tree — see RandomWalkEngine.walk_scores).
@@ -239,7 +262,7 @@ def amc_estimate(
 
         estimate = float(scores.mean())
         empirical_variance = float(scores.var())  # biased variance, as in Lemma 3.2
-        empirical_error = empirical_bernstein_error(
+        empirical_error = _empirical_bernstein_error(
             eta_batch, empirical_variance, psi, delta / num_batches
         )
         if empirical_error <= epsilon / 2.0 or budget_exhausted:

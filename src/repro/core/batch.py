@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.registry import MethodSpec, QueryContext, resolve_method
 from repro.core.result import EstimateResult
 from repro.exceptions import StaleEpochError
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seeds
 from repro.utils.timing import Timer
 from repro.utils.validation import check_positive, check_query_pairs
 
@@ -456,13 +456,18 @@ class QueryPlan:
             )
         # Deterministic methods consume nothing from the session stream — only
         # seeded methods pay the one base draw.
-        base_seed = int(self.context.rng.integers(0, 2**62)) if seeded else None
+        if seeded:
+            base_seed = int(self.context.rng.integers(0, 2**62))
+            seeds = derive_seeds(
+                base_seed, [(index, s, t) for index, (s, t) in enumerate(self._pairs)]
+            )
+        else:
+            seeds = [None] * len(self._pairs)
         param = self.spec.walk_length_param
         tasks = []
         for index, (s, t) in enumerate(self._pairs):
             length = self._lengths[index] if param is not None else None
-            seed = derive_seed(base_seed, index, s, t) if seeded else None
-            tasks.append((index, s, t, length, seed, kwargs))
+            tasks.append((index, s, t, length, seeds[index], kwargs))
         return tasks
 
     def smm_chunks(

@@ -29,7 +29,7 @@ from repro.core.result import EstimateResult
 from repro.core.smm import SMMState
 from repro.core.walk_length import refined_walk_length
 from repro.graph.graph import Graph
-from repro.sampling.concentration import amc_psi, amc_sample_budget
+from repro.sampling.concentration import _amc_psi, _amc_sample_budget
 from repro.sampling.walks import RandomWalkEngine
 from repro.utils.rng import RngLike
 from repro.utils.timing import Timer
@@ -62,10 +62,10 @@ def _worst_case_walk_budget(
     """
     if tail_length <= 0:
         return 0
-    psi = amc_psi(tail_length, degree_s, degree_t, *top_two)
+    psi = _amc_psi(tail_length, degree_s, degree_t, *top_two)
     if psi == 0.0:
         return 0
-    eta_star = amc_sample_budget(psi, epsilon, delta, num_batches)
+    eta_star = _amc_sample_budget(psi, epsilon, delta, num_batches)
     first_batch = max(1, math.ceil(eta_star / 2 ** (num_batches - 1)))
     return (2**num_batches - 1) * first_batch
 

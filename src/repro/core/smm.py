@@ -56,9 +56,15 @@ class _Frontier:
 
     __slots__ = ("values", "support", "support_degrees", "cost", "dense")
 
-    def __init__(self, values: np.ndarray, degrees: np.ndarray, dense: bool) -> None:
+    def __init__(
+        self,
+        values: np.ndarray,
+        degrees: np.ndarray,
+        dense: bool,
+        support: Optional[np.ndarray] = None,
+    ) -> None:
         self.values = values
-        self.support = np.flatnonzero(values)
+        self.support = np.flatnonzero(values) if support is None else support
         self.support_degrees = degrees[self.support]
         self.cost = int(self.support_degrees.sum())
         self.dense = dense
@@ -105,13 +111,19 @@ class SMMState:
         self._deg_s = float(graph.weighted_degrees[s])
         self._deg_t = float(graph.weighted_degrees[t])
         self._dense_switch = max(int(dense_switch_fraction * graph.num_nodes), 1)
-        n = graph.num_nodes
-        self._s_frontier = _Frontier(np.eye(1, n, s)[0], self._degrees, dense=False)
-        self._t_frontier = _Frontier(np.eye(1, n, t)[0], self._degrees, dense=False)
+        self._s_frontier = self._one_hot(s)
+        self._t_frontier = self._one_hot(t)
 
         self.iterations = 0
         self.spmv_operations = 0
         self.estimate = self._current_term()
+
+    def _one_hot(self, node: int) -> _Frontier:
+        values = np.zeros(self._graph.num_nodes)
+        values[node] = 1.0
+        return _Frontier(
+            values, self._degrees, dense=False, support=np.array([node], dtype=np.intp)
+        )
 
     # ------------------------------------------------------------------ #
     # vector access

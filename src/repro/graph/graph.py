@@ -70,6 +70,7 @@ class Graph:
         "_alias_cache",
         "_cumweights_cache",
         "_reverse_arcs_cache",
+        "_walk_state_cache",
     )
 
     def __init__(
@@ -122,6 +123,7 @@ class Graph:
         self._alias_cache = None
         self._cumweights_cache = None
         self._reverse_arcs_cache = None
+        self._walk_state_cache = None
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
         self._degrees.setflags(write=False)

@@ -89,6 +89,10 @@ class PoolCrashError(EngineUnavailableError):
 _POOL_STATE: dict[str, Any] = {}
 
 #: The worker-local counter names shipped back with every shard.
+#: ``elapsed_seconds`` sums the estimates' own timers; ``shard_seconds`` is
+#: the wall time inside the shard call, attach included, so shard minus
+#: elapsed is the worker's per-query bookkeeping and the parent's
+#: ``execute_plan`` time minus shard time is dispatch and transport.
 _WORKER_COUNTERS = (
     "attaches",
     "attach_seconds",
@@ -97,6 +101,7 @@ _WORKER_COUNTERS = (
     "walk_steps",
     "spmv_operations",
     "elapsed_seconds",
+    "shard_seconds",
 )
 
 
@@ -172,7 +177,11 @@ def _pool_warm(handle: Optional[SharedContextHandle]) -> int:
     return os.getpid()
 
 
-def _record_shard(stats: dict[str, float], results: Sequence[EstimateResult]) -> None:
+def _record_shard(
+    stats: dict[str, float], results: Sequence[EstimateResult], started: float
+) -> None:
+    """Count one finished shard; ``started`` is its ``perf_counter`` at entry."""
+    stats["shard_seconds"] += time.perf_counter() - started
     stats["shards"] += 1
     stats["queries"] += len(results)
     for result in results:
@@ -188,6 +197,7 @@ def _pool_run_shard(
     tasks: Sequence[tuple],
 ) -> tuple[list[tuple[int, EstimateResult]], dict[str, float]]:
     """Execute one contiguous shard of plan tasks against the attached context."""
+    started = time.perf_counter()
     context = _pool_context(handle)
     spec = resolve_method(method)
     context.prepare_for(spec, epsilon)
@@ -196,7 +206,7 @@ def _pool_run_shard(
         index, s, t, _length, _seed, _kwargs = task
         result = spec(context, s, t, epsilon, **_task_kwargs(spec, context, task))
         out.append((index, result))
-    _record_shard(_worker_stats(), [result for _, result in out])
+    _record_shard(_worker_stats(), [result for _, result in out], started)
     return out, _worker_snapshot()
 
 
@@ -206,6 +216,7 @@ def _pool_run_smm_shard(
     chunks: Sequence[tuple[tuple[int, ...], list[tuple[int, int]], int]],
 ) -> tuple[list[tuple[int, EstimateResult]], dict[str, float]]:
     """Execute vectorized SMM chunks (indices, pairs, walk_length) for one shard."""
+    started = time.perf_counter()
     context = _pool_context(handle)
     spec = resolve_method("smm")
     context.prepare_for(spec, epsilon)
@@ -213,7 +224,7 @@ def _pool_run_smm_shard(
     for indices, pairs, length in chunks:
         results = _run_smm_chunk(context, pairs, length, epsilon)
         out.extend(zip(indices, results))
-    _record_shard(_worker_stats(), [result for _, result in out])
+    _record_shard(_worker_stats(), [result for _, result in out], started)
     return out, _worker_snapshot()
 
 

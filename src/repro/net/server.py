@@ -928,7 +928,10 @@ class NetServer:
                         float(summary[field]),
                     )
                 )
-            for field in ("attaches", "shards", "queries", "walk_steps", "spmv_operations"):
+            for field in (
+                "attaches", "shards", "queries", "walk_steps", "spmv_operations",
+                "elapsed_seconds", "shard_seconds",
+            ):
                 samples.append(
                     Sample(
                         f"repro_pool_worker_{field}_total",
@@ -938,15 +941,6 @@ class NetServer:
                         float(summary[f"worker_{field}"]),
                     )
                 )
-            samples.append(
-                Sample(
-                    "repro_pool_worker_elapsed_seconds_total",
-                    "counter",
-                    "Worker-side cumulative in-estimate seconds.",
-                    {},
-                    float(summary["worker_elapsed_seconds"]),
-                )
-            )
         return samples
 
 

@@ -66,6 +66,13 @@ def empirical_bernstein_error(
     check_positive(empirical_variance, "empirical_variance", strict=False)
     check_positive(value_range, "value_range", strict=False)
     check_probability(delta, "delta")
+    return _empirical_bernstein_error(num_samples, empirical_variance, value_range, delta)
+
+
+def _empirical_bernstein_error(
+    num_samples: int, empirical_variance: float, value_range: float, delta: float
+) -> float:
+    """:func:`empirical_bernstein_error` for arguments the caller has validated."""
     log_term = math.log(3.0 / delta)
     return math.sqrt(2.0 * empirical_variance * log_term / num_samples) + (
         3.0 * value_range * log_term / num_samples
@@ -127,6 +134,19 @@ def amc_psi(
     check_integer(walk_length, "walk_length", minimum=0)
     check_positive(degree_s, "degree_s")
     check_positive(degree_t, "degree_t")
+    return _amc_psi(walk_length, degree_s, degree_t, s_max1, s_max2, t_max1, t_max2)
+
+
+def _amc_psi(
+    walk_length: int,
+    degree_s: float,
+    degree_t: float,
+    s_max1: float,
+    s_max2: float,
+    t_max1: float,
+    t_max2: float,
+) -> float:
+    """:func:`amc_psi` for arguments the caller has validated."""
     if walk_length == 0:
         return 0.0
     half_up = math.ceil(walk_length / 2)
@@ -145,20 +165,36 @@ def amc_sample_budget(psi: float, epsilon: float, delta: float, num_batches: int
     check_probability(delta, "delta")
     check_integer(num_batches, "num_batches", minimum=1)
     check_positive(psi, "psi", strict=False)
+    return _amc_sample_budget(psi, epsilon, delta, num_batches)
+
+
+def _amc_sample_budget(psi: float, epsilon: float, delta: float, num_batches: int) -> int:
+    """:func:`amc_sample_budget` for arguments the caller has validated."""
     if psi == 0:
         return 1
     return int(math.ceil(2.0 * psi**2 * math.log(2.0 * num_batches / delta) / epsilon**2))
 
 
 def top_two_values(vector: np.ndarray) -> tuple[float, float]:
-    """``(max1, max2)`` of a vector; ``max2`` is 0 for vectors of length 1."""
+    """``(max1, max2)`` of a vector; ``max2`` is 0 for vectors of length 1.
+
+    Selects, never computes: ``max1`` is the entry at the argmax and ``max2``
+    the larger of the maxima on either side of it, so both are entries of the
+    vector, bit for bit what ``np.partition(vector, -2)[-2:]`` picks — NaN
+    included, which ranks above everything there as in ``np.maximum`` (and
+    not in Python's ``max``).  The one difference: when the top two include
+    zeros of both signs, ``np.partition`` may return either sign.
+    """
     vector = np.asarray(vector, dtype=np.float64)
     if vector.size == 0:
         return 0.0, 0.0
     if vector.size == 1:
         return float(vector[0]), 0.0
-    top_two = np.partition(vector, -2)[-2:]
-    return float(top_two[1]), float(top_two[0])
+    top = int(vector.argmax())
+    second = np.maximum(
+        vector[:top].max(initial=-np.inf), vector[top + 1 :].max(initial=-np.inf)
+    )
+    return float(vector[top]), float(second)
 
 
 __all__ = [

@@ -170,6 +170,44 @@ def patch_alias_tables(
     new_graph._alias_cache = (prob, alias_node)
 
 
+def _walk_kernel_state(graph: Graph) -> WalkKernelState:
+    """The kernel arrays every engine on ``graph`` shares, memoised on the graph.
+
+    They depend on the (immutable) graph alone, so engines built per query —
+    a parallel QueryPlan builds one per task — derive them once.  A graph
+    with isolated nodes is never memoised: every engine built on it raises.
+    """
+    cached = graph._walk_state_cache
+    if cached is not None:
+        return cached
+    if graph.num_nodes == 0:
+        raise ValueError("cannot walk on an empty graph")
+    if np.any(graph.degrees == 0):
+        raise ValueError("cannot walk on a graph with isolated nodes")
+    # The float degrees feed the offset multiply without a per-step int→float
+    # conversion pass, and a uniform-degree graph (cycles, complete graphs,
+    # tori) skips the per-step degree gather entirely.  Both paths draw
+    # identical offsets.
+    first_degree = int(graph.degrees[0])
+    uniform_degree = (
+        first_degree
+        if not graph.is_weighted and np.all(graph.degrees == first_degree)
+        else None
+    )
+    alias_prob, alias_node = (
+        _build_alias_tables(graph) if graph.is_weighted else (None, None)
+    )
+    cached = graph._walk_state_cache = WalkKernelState(
+        indptr=graph.indptr,
+        indices=graph.indices,
+        degrees_float=graph.degrees.astype(np.float64),
+        uniform_degree=uniform_degree,
+        alias_prob=alias_prob,
+        alias_node=alias_node,
+    )
+    return cached
+
+
 class RandomWalkEngine:
     """Simulates random walks on a :class:`Graph` using CSR gathers.
 
@@ -190,29 +228,8 @@ class RandomWalkEngine:
         obs: Optional["Observability"] = None,
         kernel_backend: str = "auto",
     ) -> None:
-        if graph.num_nodes == 0:
-            raise ValueError("cannot walk on an empty graph")
-        if np.any(graph.degrees == 0):
-            raise ValueError("cannot walk on a graph with isolated nodes")
+        self._kernel_state = _walk_kernel_state(graph)
         self._graph = graph
-        self._indptr = graph.indptr
-        self._indices = graph.indices
-        # Degree metadata is derived once: the float copy feeds the offset
-        # multiply without a per-step int→float conversion pass, and a
-        # uniform-degree graph (cycles, complete graphs, tori) skips the
-        # per-step degree gather entirely.  Both paths draw identical offsets.
-        self._degrees_float = graph.degrees.astype(np.float64)
-        first_degree = int(graph.degrees[0])
-        self._uniform_degree: Optional[int] = (
-            first_degree
-            if not graph.is_weighted and np.all(graph.degrees == first_degree)
-            else None
-        )
-        if graph.is_weighted:
-            self._alias_prob, self._alias_node = _build_alias_tables(graph)
-        else:
-            self._alias_prob = None
-            self._alias_node = None
         # Kernel backend: "numpy" is the reference implementation, "numba"
         # the optional compiled one (bit-identical by Contract 9), "auto"
         # picks numba when importable.  Resolution is cached module-wide and
@@ -221,14 +238,6 @@ class RandomWalkEngine:
         # accelerator.  The state bundle hands the backend plain CSR arrays.
         self._kernels = resolve_backend(kernel_backend)
         self.kernel_backend = self._kernels.name
-        self._kernel_state = WalkKernelState(
-            indptr=self._indptr,
-            indices=self._indices,
-            degrees_float=self._degrees_float,
-            uniform_degree=self._uniform_degree,
-            alias_prob=self._alias_prob,
-            alias_node=self._alias_node,
-        )
         self._rng = as_generator(rng)
         self.total_steps = 0  # cumulative number of single-node transitions taken
         #: Observability bundle; spans only open when its tracer is active, so

@@ -7,7 +7,7 @@ conversion keeps behaviour consistent and makes experiments reproducible.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,18 +51,36 @@ def spawn_generators(rng: RngLike, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
-def derive_seed(rng: RngLike, *labels: Union[int, str]) -> int:
-    """Derive a deterministic child seed from ``rng`` and a tuple of labels.
+def derive_seed(rng: RngLike, *labels: int) -> int:
+    """Derive a deterministic child seed from ``rng`` and a tuple of int labels.
 
-    The same parent seed and labels always yield the same child seed, which
-    allows per-query reproducibility inside large sweeps.
+    The same parent seed and labels always yield the same child seed, in
+    every process, which allows per-query reproducibility inside large
+    sweeps and across worker processes.  Labels must be integers (``bool``
+    and numpy integers included): ``str`` hashes are salted per interpreter,
+    so anything else raises ``TypeError``.
     """
-    parent = as_generator(rng)
-    base = int(parent.integers(0, 2**31 - 1))
-    mix = base
-    for label in labels:
-        mix = hash((mix, label)) & 0x7FFFFFFF
-    return mix
+    return derive_seeds(rng, [labels])[0]
+
+
+def derive_seeds(rng: RngLike, label_rows: Iterable[Sequence[int]]) -> list[int]:
+    """``derive_seed(rng, *labels)`` for each row of labels, from one base draw.
+
+    Equal to per-row ``derive_seed`` calls for an int seed, without building a
+    generator per row (a :class:`Generator` ``rng`` gives one draw in all).
+    """
+    base = int(as_generator(rng).integers(0, 2**31 - 1))
+    seeds = []
+    for labels in label_rows:
+        mix = base
+        for label in labels:
+            if not isinstance(label, (int, np.integer)):
+                raise TypeError(
+                    f"derive_seed labels must be integers, got {type(label).__name__}"
+                )
+            mix = hash((mix, label)) & 0x7FFFFFFF
+        seeds.append(mix)
+    return seeds
 
 
 def skip_doubles(rng: np.random.Generator, count: int) -> bool:
@@ -137,6 +155,6 @@ def random_choice_csr(
 
 
 __all__ = [
-    "RngLike", "as_generator", "spawn_generators", "derive_seed", "skip_doubles",
-    "random_choice_csr",
+    "RngLike", "as_generator", "spawn_generators", "derive_seed", "derive_seeds",
+    "skip_doubles", "random_choice_csr",
 ]

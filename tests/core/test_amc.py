@@ -13,6 +13,7 @@ from repro.core.registry import QueryContext
 from repro.core.smm import SMMState
 from repro.core.walk_length import refined_walk_length
 from repro.experiments.datasets import load_dataset
+from repro.graph.builders import from_edges
 from repro.graph.generators import barabasi_albert_graph, complete_graph
 from repro.linalg.eigen import spectral_radius_second
 from repro.sampling.concentration import (
@@ -22,6 +23,7 @@ from repro.sampling.concentration import (
     top_two_values,
 )
 from repro.sampling.walks import RandomWalkEngine
+from repro.utils.rng import skip_doubles
 from tests.strategies import connected_graphs
 
 
@@ -131,6 +133,25 @@ class TestAMCCore:
         with pytest.raises(ValueError):
             amc_estimate(
                 dense_graph, 0, 1, np.zeros(3), np.zeros(3), epsilon=0.1, walk_length=3
+            )
+
+    @pytest.mark.parametrize("bad_value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("which", ["s_vector", "t_vector"])
+    def test_non_finite_vector_rejected(self, dense_graph, bad_value, which):
+        n = dense_graph.num_nodes
+        vectors = {"s_vector": one_hot(n, 0), "t_vector": one_hot(n, 1)}
+        vectors[which][7] = bad_value
+        with pytest.raises(ValueError, match="finite"):
+            amc_estimate(dense_graph, 0, 1, epsilon=0.1, walk_length=3, rng=1, **vectors)
+
+    @pytest.mark.parametrize("isolated_endpoint", ["s", "t"])
+    def test_isolated_endpoint_rejected(self, isolated_endpoint):
+        graph = from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], num_nodes=5)
+        s, t = (4, 0) if isolated_endpoint == "s" else (0, 4)
+        with pytest.raises(ValueError):
+            amc_estimate(
+                graph, s, t, one_hot(5, s), one_hot(5, t),
+                epsilon=0.3, walk_length=3, rng=1,
             )
 
     def test_smoothed_vectors_need_fewer_walks(self, dense_graph):
@@ -393,6 +414,29 @@ class TestFutileBatches:
             walk_length=result.walk_length - result.details["switch_point"],
         )
         assert skipped == result.details["skipped_batches"]
+
+    def test_one_generator_skip_per_query(self, monkeypatch):
+        """The whole futile prefix is skipped with one ``skip_doubles`` call."""
+        skips = []
+
+        def spy(rng, count):
+            if count:
+                skips.append(count)
+            return skip_doubles(rng, count)
+
+        monkeypatch.setattr("repro.core.amc.skip_doubles", spy)
+        graph = load_dataset("dblp-syn")
+        lam = QueryContext(graph, rng=0).lambda_max_abs
+        engine = RandomWalkEngine(graph, rng=5)
+        skipped = []
+        for s, t in [(17, 3201), (40, 2210), (5, 880)]:
+            skips.clear()
+            result = geer_query(
+                graph, s, t, epsilon=0.05, lambda_max_abs=lam, engine=engine
+            )
+            skipped.append(result.details["skipped_batches"])
+            assert len(skips) == (1 if skipped[-1] else 0)
+        assert max(skipped) >= 2  # one skip covered more than one batch
 
     def test_cap_at_a_batch_boundary_keeps_the_last_batch_that_ran(self, dense_graph):
         """A batch the cap leaves no successor for must run: it is the answer."""

@@ -20,6 +20,7 @@ from repro.core.estimator import EffectiveResistanceEstimator
 from repro.core.registry import QueryContext
 from repro.experiments.queries import random_query_set
 from repro.graph.generators import barabasi_albert_graph
+from repro.utils.rng import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,18 @@ class TestSequentialBaseline:
 
 
 class TestParallelDeterminism:
+    def test_task_seeds_are_derive_seed_of_one_session_draw(self, graph, pairs):
+        engine = QueryEngine(graph, rng=7)
+        plan = engine.plan(pairs, EPSILON, method="geer")
+        session = np.random.Generator(np.random.PCG64())
+        session.bit_generator.state = engine.context.rng.bit_generator.state
+        base_seed = int(session.integers(0, 2**62))
+        tasks = plan.parallel_tasks()
+        assert [task[4] for task in tasks] == [
+            derive_seed(base_seed, index, s, t) for index, (s, t) in enumerate(pairs)
+        ]
+        assert engine.context.rng.bit_generator.state == session.bit_generator.state
+
     @pytest.mark.parametrize("method", ["geer", "amc", "mc"])
     def test_fixed_seed_reproducible(self, graph, pairs, method):
         first = QueryEngine(graph, rng=7).query_many(

@@ -9,17 +9,20 @@ and compare against unharmed runs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import sys
 import time
 from concurrent.futures import Future
 
 import pytest
 
+import repro.net.pool as pool_module
 from repro.core.engine import QueryEngine
 from repro.exceptions import EngineUnavailableError
 from repro.fault import FAULTS, FailpointTriggered
-from repro.net.pool import PoolCrashError, SharedWorkerPool
+from repro.net.pool import PoolCrashError, SharedWorkerPool, _pool_run_shard
 from repro.net.shm import SegmentError, attach_context, install_shared_context, shm_available
 
 pytestmark = pytest.mark.skipif(
@@ -44,12 +47,54 @@ def graph():
     return barabasi_albert_graph(120, 4, rng=5)
 
 
-def _run_batch(graph, *, arm=None, warm_kill=False, **pool_kwargs):
+#: Set by the ``shard_gate`` fixture before any worker forks, so workers
+#: inherit it: a shared flag that opens once the injected crash has landed.
+#: Not a ``multiprocessing.Event``: its ``set()`` waits for every waiting
+#: process to wake, and the SIGKILLed one never does.
+_SHARD_GATE = None
+
+
+def _gated_run_shard(*args):
+    """``_pool_run_shard`` that starts only once the parent's injected kill landed.
+
+    The ``pool:worker_crash`` failpoint kills a worker right after the round
+    is submitted; a shard that finished first would leave nothing to
+    respawn.
+    """
+    deadline = time.monotonic() + 30
+    while not _SHARD_GATE.value:
+        if time.monotonic() > deadline:
+            raise RuntimeError("the shard gate never opened")
+        time.sleep(0.001)
+    return _pool_run_shard(*args)
+
+
+@pytest.fixture
+def shard_gate(monkeypatch):
+    """Hold every shard until ``_maybe_inject_worker_crash`` has run."""
+    gate = multiprocessing.get_context("fork").RawValue("b", 0)
+    monkeypatch.setattr(sys.modules[__name__], "_SHARD_GATE", gate)
+    monkeypatch.setattr(pool_module, "_pool_run_shard", _gated_run_shard)
+    inject = SharedWorkerPool._maybe_inject_worker_crash
+
+    def inject_then_open(self):
+        inject(self)
+        gate.value = 1
+
+    monkeypatch.setattr(SharedWorkerPool, "_maybe_inject_worker_crash", inject_then_open)
+    return gate
+
+
+def _run_batch(graph, *, arm=None, warm_kill=False, gate=None, **pool_kwargs):
     """One pool batch on a fresh engine/epoch; returns (hex values, summary).
 
     Fresh everything per run: executing a plan advances session stream
     state, so determinism comparisons must be run-vs-run, never plan-reuse.
+    With a ``gate`` (the ``shard_gate`` fixture), an unharmed run opens it
+    up front and a run with ``arm`` lets the injected crash open it.
     """
+    if gate is not None:
+        gate.value = arm is None
     engine = QueryEngine(graph, rng=42)
     shared = install_shared_context(engine.context)
     assert shared is not None
@@ -77,10 +122,10 @@ def _run_batch(graph, *, arm=None, warm_kill=False, **pool_kwargs):
 
 
 class TestContractSeven:
-    def test_injected_crash_mid_dispatch_is_bit_identical(self, graph):
-        baseline, base_stats = _run_batch(graph)
+    def test_injected_crash_mid_dispatch_is_bit_identical(self, graph, shard_gate):
+        baseline, base_stats = _run_batch(graph, gate=shard_gate)
         assert base_stats["respawns"] == 0
-        harmed, stats = _run_batch(graph, arm="pool:worker_crash")
+        harmed, stats = _run_batch(graph, arm="pool:worker_crash", gate=shard_gate)
         assert harmed == baseline
         assert stats["injected_crashes"] == 1
         assert stats["respawns"] >= 1

@@ -200,11 +200,20 @@ def test_stats_includes_pool_worker_counters(graph):
         assert pool["worker_queries"] == 4
         assert pool["worker_walk_steps"] > 0
         assert pool["worker_attaches"] >= 1
+        # a shard's wall time covers its estimates' own timers
+        assert pool["worker_shard_seconds"] >= pool["worker_elapsed_seconds"] > 0
         # per-worker breakdown carries the same totals
         assert sum(w["queries"] for w in pool["per_worker"].values()) == 4
+        for worker in pool["per_worker"].values():
+            assert worker["shard_seconds"] >= worker["elapsed_seconds"]
 
         series = _series(client.metrics())
         assert series["repro_pool_workers"] == 2
         assert series["repro_pool_worker_queries_total"] == 4
         assert series["repro_pool_worker_walk_steps_total"] > 0
         assert series["repro_pool_batches_total"] >= 1
+        assert (
+            series["repro_pool_worker_shard_seconds_total"]
+            >= series["repro_pool_worker_elapsed_seconds_total"]
+            > 0
+        )

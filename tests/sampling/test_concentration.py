@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sampling.concentration import (
     amc_psi,
@@ -123,3 +125,83 @@ class TestTopTwo:
 
     def test_ties(self):
         assert top_two_values(np.array([0.4, 0.4, 0.1])) == (0.4, 0.4)
+
+    @given(
+        vector=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 0.5, -2.0, math.nan, math.inf, -math.inf]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=0,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_selection_matches_partition(self, vector):
+        """Equal to the ``np.partition`` top two it replaced, NaN and ±inf included."""
+        vector = np.array(vector, dtype=np.float64)
+        expected = partition_top_two(vector)
+        actual = top_two_values(vector)
+        assert all(
+            a == e or (math.isnan(a) and math.isnan(e)) for a, e in zip(actual, expected)
+        )
+        if not np.any((vector == 0) & np.signbit(vector)):
+            assert [a.hex() for a in actual] == [e.hex() for e in expected]
+
+    @pytest.mark.parametrize(
+        "vector, expected",
+        [
+            ([0.0] * 7, (0.0, 0.0)),
+            ([0.3, 0.7, 0.7, 0.1], (0.7, 0.7)),
+            ([0.9, 0.2, 0.0], (0.9, 0.2)),  # maximum first: only the right slice
+            ([0.2, 0.0, 0.9], (0.9, 0.2)),  # maximum last: only the left slice
+            ([-3.0, -1.0, -2.0], (-1.0, -2.0)),
+            ([1.0, math.nan, 2.0], (math.nan, 2.0)),
+            ([math.nan, 1.0, math.nan], (math.nan, math.nan)),
+            ([math.inf, 1.0, math.inf], (math.inf, math.inf)),
+            ([-math.inf, -math.inf], (-math.inf, -math.inf)),
+        ],
+    )
+    def test_fixed_cases(self, vector, expected):
+        actual = top_two_values(np.array(vector))
+        assert [a.hex() for a in actual] == [e.hex() for e in expected]
+        assert [a.hex() for a in partition_top_two(np.array(vector))] == [
+            e.hex() for e in expected
+        ]
+
+
+def partition_top_two(vector):
+    """The ``np.partition`` top two ``top_two_values`` used to compute: the reference."""
+    if vector.size == 0:
+        return 0.0, 0.0
+    if vector.size == 1:
+        return float(vector[0]), 0.0
+    top_two = np.partition(vector, -2)[-2:]
+    return float(top_two[1]), float(top_two[0])
+
+
+class TestPublicChecks:
+    """The public planners validate; the private helpers behind them do not."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: amc_psi(-1, 2.0, 2.0, 1.0, 0.0, 1.0, 0.0),
+            lambda: amc_psi(3, 0.0, 2.0, 1.0, 0.0, 1.0, 0.0),
+            lambda: amc_psi(3, 2.0, math.nan, 1.0, 0.0, 1.0, 0.0),
+            lambda: amc_psi(2.5, 2.0, 2.0, 1.0, 0.0, 1.0, 0.0),
+            lambda: amc_sample_budget(math.nan, 0.1, 0.01, 5),
+            lambda: amc_sample_budget(math.inf, 0.1, 0.01, 5),
+            lambda: amc_sample_budget(-1.0, 0.1, 0.01, 5),
+            lambda: amc_sample_budget(1.0, 0.0, 0.01, 5),
+            lambda: amc_sample_budget(1.0, 0.1, 1.0, 5),
+            lambda: amc_sample_budget(1.0, 0.1, 0.01, 0),
+            lambda: empirical_bernstein_error(0, 0.1, 1.0, 0.01),
+            lambda: empirical_bernstein_error(10, -0.1, 1.0, 0.01),
+            lambda: empirical_bernstein_error(10, 0.1, math.inf, 0.01),
+            lambda: empirical_bernstein_error(10, 0.1, 1.0, 0.0),
+        ],
+    )
+    def test_invalid_arguments_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()

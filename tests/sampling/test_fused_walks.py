@@ -150,7 +150,7 @@ class TestFusedEqualsMaterialised:
         ring_weights = np.random.default_rng(3).random(50)
         reference = RandomWalkEngine(ring, rng=9)
         fused = RandomWalkEngine(ring, rng=9)
-        assert reference._uniform_degree == 2
+        assert reference._kernel_state.uniform_degree == 2
         expected = ring_weights[reference.walk_matrix(4, 60, 30)].sum(axis=1)
         assert np.array_equal(expected, fused.walk_scores(4, 60, 30, ring_weights))
 

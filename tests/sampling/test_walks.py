@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.graph.builders import from_edges
-from repro.graph.generators import complete_graph, cycle_graph, star_graph
+from repro.graph.builders import from_edges, with_random_weights
+from repro.graph.generators import (
+    barabasi_albert_graph,
+    complete_graph,
+    cycle_graph,
+    star_graph,
+)
+from repro.graph.graph import Graph
 from repro.sampling.walks import RandomWalkEngine, simulate_walks, walk_endpoints
 
 
@@ -40,8 +46,9 @@ class TestWalkMatrix:
 
     def test_isolated_node_graph_rejected(self):
         graph = from_edges([(0, 1)], num_nodes=3)
-        with pytest.raises(ValueError):
-            RandomWalkEngine(graph)
+        for _ in range(2):  # on every construction, not just the first
+            with pytest.raises(ValueError):
+                RandomWalkEngine(graph)
 
     def test_star_alternates(self):
         # from the centre of a star, odd steps land on leaves, even steps on centre
@@ -122,3 +129,48 @@ class TestFunctionalHelpers:
     def test_walk_endpoints_length(self, complete8):
         ends = walk_endpoints(complete8, 0, 9, 4, rng=0)
         assert ends.shape == (9,)
+
+
+class TestMemoisedGraphState:
+    """Engines reuse per-graph kernel state but never a generator or a counter."""
+
+    GRAPHS = {
+        "unweighted": barabasi_albert_graph(60, 3, rng=4),
+        "weighted": with_random_weights(barabasi_albert_graph(60, 3, rng=4), rng=6),
+        "uniform-degree": cycle_graph(40),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_warm_engine_matches_cold_engine(self, name):
+        graph = self.GRAPHS[name]
+        RandomWalkEngine(graph, rng=0)  # memoises the graph's kernel state
+        warm = RandomWalkEngine(graph, rng=21)
+        # A new Graph over the same arrays starts with nothing memoised.
+        cold = RandomWalkEngine(
+            Graph(graph.indptr, graph.indices, graph.weights), rng=21
+        )
+        assert graph._walk_state_cache is not None
+        weights = np.random.default_rng(3).normal(size=graph.num_nodes)
+        for start, walks, length in [(0, 33, 5), (7, 12, 130), (3, 1, 1)]:
+            expected = cold.walk_scores(start, walks, length, weights)
+            actual = warm.walk_scores(start, walks, length, weights)
+            assert [v.hex() for v in actual] == [v.hex() for v in expected]
+            np.testing.assert_equal(
+                warm.rng.bit_generator.state, cold.rng.bit_generator.state
+            )
+        assert warm.total_steps == cold.total_steps
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_engines_share_no_generator_or_counter(self, name):
+        graph = self.GRAPHS[name]
+        first = RandomWalkEngine(graph, rng=5)
+        second = RandomWalkEngine(graph, rng=5)
+        assert first.rng is not second.rng
+        weights = np.ones(graph.num_nodes)
+        first_ends = first.walk_endpoints(2, 50, 6)
+        # first's draws neither moved second's stream nor its step count
+        assert second.total_steps == 0
+        np.testing.assert_array_equal(second.walk_endpoints(2, 50, 6), first_ends)
+        assert first.total_steps == second.total_steps == 300
+        first.walk_scores(1, 8, 3, weights)
+        assert second.total_steps == 300

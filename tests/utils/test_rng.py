@@ -1,10 +1,27 @@
 """Unit tests for RNG helpers."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.core.engine import QueryEngine
 from repro.graph.builders import from_edges
-from repro.utils.rng import as_generator, derive_seed, random_choice_csr, spawn_generators
+from repro.graph.generators import barabasi_albert_graph
+from repro.utils.rng import (
+    as_generator,
+    derive_seed,
+    derive_seeds,
+    random_choice_csr,
+    spawn_generators,
+)
+
+PLAN_PAIRS = [(0, 7), (3, 40), (11, 2), (25, 49)]
 
 
 class TestAsGenerator:
@@ -43,7 +60,41 @@ class TestSpawn:
             spawn_generators(1, -1)
 
     def test_derive_seed_deterministic(self):
-        assert derive_seed(4, "x", 1) == derive_seed(4, "x", 1)
+        assert derive_seed(4, 7, 1) == derive_seed(4, 7, 1)
+        assert derive_seed(4, np.int64(7), 1) == derive_seed(4, 7, 1)
+        # str hashes are salted per interpreter: not a reproducible label
+        with pytest.raises(TypeError):
+            derive_seed(4, "x", 1)
+        with pytest.raises(TypeError):
+            derive_seed(4, 1, 2.0)
+
+    def test_derive_seeds_is_derive_seed_per_row(self):
+        rows = [(0, 5, 9), (1, 5, 9), (2, 8, 3), ()]
+        assert derive_seeds(11, rows) == [derive_seed(11, *row) for row in rows]
+
+    def test_plan_task_seeds_do_not_depend_on_the_hash_seed(self):
+        """A plan's task seeds are the same in processes with other string-hash salts."""
+        code = (
+            "import json\n"
+            "from repro.core.engine import QueryEngine\n"
+            "from repro.graph.generators import barabasi_albert_graph\n"
+            "graph = barabasi_albert_graph(50, 3, rng=2)\n"
+            "plan = QueryEngine(graph, rng=9).plan(PAIRS, 0.3, method='geer')\n"
+            "print(json.dumps([task[4] for task in plan.parallel_tasks()]))\n"
+        ).replace("PAIRS", repr(PLAN_PAIRS))
+        plan = QueryEngine(barabasi_albert_graph(50, 3, rng=2), rng=9).plan(
+            PLAN_PAIRS, 0.3, method="geer"
+        )
+        expected = [task[4] for task in plan.parallel_tasks()]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        for hash_seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            )
+            assert json.loads(out.stdout) == expected
+
 
 
 class TestRandomChoiceCSR:
