@@ -24,9 +24,23 @@ with ``a = L_g⁻¹``,
   landmark.
 
 Total cost: one ``splu`` factorisation plus ``n + k`` triangular solves, all
-exact up to solver precision, so the served bounds are *valid* (the satellite
-test checks them against the CG ground truth).  The grounding node is the
-first landmark, so ``k`` landmarks cost ``k - 1`` column solves.
+exact up to solver precision, so the served bounds are *valid* (the tests
+check every stored value against a dense ``pinv(L)`` within a tolerance set by
+the condition number of ``L_g``).  The grounding node is the first landmark,
+so ``k`` landmarks cost ``k - 1`` column solves.
+
+The factorisation (:func:`_factor_grounded`) runs SuperLU in its symmetric
+mode: a minimum-degree ordering of ``L_g + L_gᵀ`` applied to rows and columns
+alike (``MMD_AT_PLUS_A``), with diagonal pivots (``diag_pivot_thresh=0``).
+That is safe only after the connectivity check.  ``xᵀ L_g x`` is the
+Laplacian quadratic form of ``x`` extended by ``x[g] = 0``, which vanishes
+only for vectors constant on a connected graph, so ``L_g`` is symmetric
+positive definite, and elimination on an SPD matrix is stable without row
+exchanges.  SuperLU's default (COLAMD on the columns, partial pivoting on the
+rows) ignores the symmetry: on the 2,000-node ``ba-2000-8`` graph it fills
+L+U to 2.72M nonzeros, the symmetric mode to 0.92M.  Each identity solve
+touches all of them, so the ``n - 1`` solves behind ``diag(L_g⁻¹)`` — most
+of the build — shrink with the fill (about 3x faster builds there).
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import GraphStructureError
@@ -44,6 +59,25 @@ from repro.utils.rng import RngLike, as_generator
 from repro.utils.validation import check_node_pair, check_positive
 
 LANDMARK_STRATEGIES = ("degree", "random")
+
+# Identity columns per solve when extracting diag(L_g⁻¹): bounds the dense
+# right-hand-side block at (n - 1) x 512 doubles.
+_DIAG_CHUNK = 512
+
+
+def _factor_grounded(grounded: sp.csc_matrix) -> spla.SuperLU:
+    """Sparse LU of a grounded Laplacian in SuperLU's symmetric mode.
+
+    ``grounded`` must come from a connected graph, which makes it symmetric
+    positive definite (see the module docstring): diagonal pivots are then
+    stable and a symmetric minimum-degree ordering keeps the fill low.
+    """
+    return spla.splu(
+        grounded,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
 @dataclass(frozen=True)
@@ -168,7 +202,6 @@ class LandmarkSketchStore:
         num_landmarks: int = 8,
         strategy: str = "degree",
         rng: RngLike = None,
-        diag_chunk: int = 512,
     ) -> "LandmarkSketchStore":
         """Factor the grounded Laplacian and materialise ``r(l, ·)`` exactly."""
         if graph.num_nodes < 2:
@@ -186,12 +219,12 @@ class LandmarkSketchStore:
 
         laplacian = graph.laplacian_matrix()
         grounded = laplacian[keep][:, keep].tocsc()
-        lu = spla.splu(grounded)
+        lu = _factor_grounded(grounded)
 
         # diag(L_g⁻¹) via chunked identity solves against the cached factors.
         diag = np.empty(n - 1, dtype=np.float64)
-        for start in range(0, n - 1, int(diag_chunk)):
-            stop = min(start + int(diag_chunk), n - 1)
+        for start in range(0, n - 1, _DIAG_CHUNK):
+            stop = min(start + _DIAG_CHUNK, n - 1)
             rhs = np.zeros((n - 1, stop - start), dtype=np.float64)
             rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
             block = lu.solve(rhs)

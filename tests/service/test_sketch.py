@@ -1,12 +1,22 @@
 """Unit tests for the landmark sketch store: bound validity and exact hits."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphStructureError
-from repro.graph.generators import barabasi_albert_graph, dumbbell_graph, grid_graph
+from repro.graph.generators import (
+    barabasi_albert_graph,
+    dumbbell_graph,
+    grid_graph,
+    path_graph,
+)
 from repro.linalg.solvers import LaplacianSolver
-from repro.service.sketch import LandmarkSketchStore
+from repro.service.sketch import LandmarkSketchStore, _factor_grounded
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +141,82 @@ class TestConstruction:
                 assert store.resistances[i, v] == pytest.approx(
                     solver.effective_resistance(landmark, v), abs=1e-6
                 )
+
+    def test_diag_chunk_is_not_an_option(self, graph):
+        # A non-positive chunk used to skip the solves and serve np.empty.
+        with pytest.raises(TypeError):
+            LandmarkSketchStore.build(graph, num_landmarks=2, diag_chunk=-1)
+
+
+def _log_uniform_weights(graph, decades, seed):
+    """``graph`` with edge weights log-uniform in ``[10**-decades, 10**decades)``."""
+    gen = np.random.default_rng(seed)
+    return graph.with_weights(10.0 ** gen.uniform(-decades, decades, graph.num_edges))
+
+
+REFERENCE_GRAPHS = {
+    "ba-300-4": lambda: barabasi_albert_graph(300, 4, rng=1),
+    "grid-15x15-w1e4": lambda: _log_uniform_weights(grid_graph(15, 15), 4, seed=2),
+    "ba-250-3-w1e6": lambda: _log_uniform_weights(
+        barabasi_albert_graph(250, 3, rng=3), 6, seed=4
+    ),
+    "path-300": lambda: path_graph(300),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REFERENCE_GRAPHS))
+def reference(request):
+    """A built sketch beside all-pairs resistances from a dense ``pinv(L)``.
+
+    ``tol`` is the reference's conditioning tolerance: ``10·κ(L_g)·2⁻⁵²``
+    relative to the largest resistance, with ``L_g`` grounded at the sketch's
+    first landmark.  Forward error in a solve with ``L_g`` scales with the
+    matrix's largest entries, so the tolerance is normwise, and it is the only
+    slack any assertion below allows.
+    """
+    graph = REFERENCE_GRAPHS[request.param]()
+    store = LandmarkSketchStore.build(graph, num_landmarks=8)
+    laplacian = graph.laplacian_matrix().toarray()
+    pinv = np.linalg.pinv(laplacian)
+    diag = np.diag(pinv)
+    exact = diag[:, None] + diag[None, :] - 2.0 * pinv
+    keep = np.delete(np.arange(graph.num_nodes), store.landmarks[0])
+    kappa = np.linalg.cond(laplacian[np.ix_(keep, keep)])
+    tol = 10.0 * kappa * 2.0**-52 * exact.max()
+    return SimpleNamespace(graph=graph, store=store, exact=exact, tol=tol)
+
+
+class TestDenseReference:
+    def test_stored_resistances_match_pinv(self, reference):
+        np.testing.assert_allclose(
+            reference.store.resistances,
+            reference.exact[reference.store.landmarks],
+            rtol=0.0,
+            atol=reference.tol,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_answers_hold_their_epsilon(self, reference, data):
+        n = reference.graph.num_nodes
+        s = data.draw(st.integers(0, n - 1), label="s")
+        t = data.draw(st.integers(0, n - 1), label="t")
+        epsilon = data.draw(st.floats(0.01, 1.0), label="epsilon")
+        answer = reference.store.query(s, t, epsilon)
+        if answer is None:
+            return
+        exact, tol = reference.exact[s, t], reference.tol
+        assert abs(answer.midpoint - exact) <= epsilon + tol
+        assert answer.lower <= exact + tol
+        assert exact <= answer.upper + tol
+
+
+def test_symmetric_factor_has_at_most_half_the_default_fill():
+    # SuperLU's default COLAMD + partial pivoting measured 2.8x the fill here.
+    graph = barabasi_albert_graph(600, 8, rng=1)
+    ground = int(LandmarkSketchStore.select_landmarks(graph, 1)[0])
+    keep = np.delete(np.arange(graph.num_nodes), ground)
+    grounded = graph.laplacian_matrix()[keep][:, keep].tocsc()
+    factor = _factor_grounded(grounded)
+    default = spla.splu(grounded)
+    assert factor.L.nnz + factor.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)

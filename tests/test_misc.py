@@ -1,6 +1,9 @@
 """Tests for the exception hierarchy, result dataclass, logging helpers and package API."""
 
 import logging
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +65,16 @@ class TestLogging:
 class TestPackageAPI:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
+
+    def test_setup_metadata_names_the_package(self):
+        # Without a name and packages, `pip install -e .` installs nothing
+        # and the `repro-er` console script never exists.
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--name", "--version"],
+            cwd=root, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.split() == ["repro", repro.__version__]
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
