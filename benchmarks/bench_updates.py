@@ -4,7 +4,7 @@ The dynamic-graph refactor's pitch is that a small edge delta should be
 *absorbed* by a warm :class:`repro.ResistanceService` — CSR rows patched,
 cache invalidated only around the delta, expensive artifacts deferred per
 policy — instead of rebuilding the service from scratch (eigen-solve +
-landmark ``splu`` + alias tables).  This benchmark measures both paths on a
+landmark sketch build + alias tables).  This benchmark measures both paths on a
 2k-node weighted BA graph for 1 / 16 / 256-edge deltas and records the
 results in machine-readable form at ``benchmarks/results/BENCH_updates.json``:
 
@@ -39,7 +39,7 @@ SMALL_DELTA_SPEEDUP = 10.0
 
 def _service_config() -> ServiceConfig:
     # Deferred expensive refreshes are the point of the update path: the
-    # spectral solve and the sketch factorisation rebuild lazily, so the
+    # spectral solve and the landmark sketch rebuild lazily, so the
     # synchronous absorption cost is the patch work only.
     return ServiceConfig(
         spectral_refresh="on-next-read",
@@ -82,7 +82,7 @@ def _populate_cache(service, seed: int) -> list[tuple[int, int]]:
 def _cold_rebuild_seconds(graph) -> float:
     start = time.perf_counter()
     service = ResistanceService(graph, config=_service_config(), rng=1)
-    service.warm_up()  # the eigen-solve; the sketch splu ran in the constructor
+    service.warm_up()  # the eigen-solve; the sketch build ran in the constructor
     return time.perf_counter() - start
 
 

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -391,16 +393,73 @@ def load_bundle(
 
 
 def _read_sketch(graph: Graph, directory: Path, manifest: dict) -> LandmarkSketchStore:
+    """Load ``sketch.npz``, refusing any file the manifest's sketch could not be.
+
+    A damaged, empty or foreign file — or arrays that are not ``k`` distinct
+    in-range landmark ids beside a finite non-negative ``(k, n)`` resistance
+    matrix — raises :class:`ArtifactError` naming the file, never a numpy or
+    zipfile error and never a store that would serve invalid bounds.
+    """
     sketch_path = directory / SKETCH_NAME
     if not sketch_path.is_file():
         raise ArtifactError(f"manifest promises a sketch but {sketch_path} is missing")
-    with np.load(sketch_path) as payload:
-        landmarks = payload["landmarks"]
-        resistances = payload["resistances"]
-    strategy = str(manifest.get("sketch", {}).get("strategy", "degree"))
+    # The except clause lists what np.load raises on a damaged or foreign file:
+    # a truncated or flipped archive, an empty file, pickled data, a missing
+    # member.
+    try:
+        payload = np.load(sketch_path)
+        if not isinstance(payload, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with payload:
+            landmarks = payload["landmarks"]
+            resistances = payload["resistances"]
+    except (
+        OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error
+    ) as exc:
+        raise ArtifactError(f"corrupt landmark sketch {sketch_path}: {exc}") from exc
+    meta = manifest.get("sketch")
+    meta = meta if isinstance(meta, dict) else {}
+    problem = _sketch_array_problem(
+        landmarks, resistances, graph.num_nodes, meta.get("num_landmarks")
+    )
+    if problem is not None:
+        raise ArtifactError(f"corrupt landmark sketch {sketch_path}: {problem}")
+    strategy = str(meta.get("strategy", "degree"))
     return LandmarkSketchStore.from_arrays(
         graph, landmarks, resistances, strategy=strategy
     )
+
+
+def _sketch_array_problem(
+    landmarks: np.ndarray,
+    resistances: np.ndarray,
+    num_nodes: int,
+    num_landmarks: object,
+) -> Optional[str]:
+    """What makes persisted sketch arrays unusable, or None when they are sound."""
+    if landmarks.ndim != 1 or not np.issubdtype(landmarks.dtype, np.integer):
+        return f"landmarks must be a 1-D integer array, got {landmarks.dtype}"
+    k = len(landmarks)
+    if k == 0:
+        return "no landmarks stored"
+    if k != num_landmarks:
+        return f"{k} landmarks stored but the manifest records {num_landmarks!r}"
+    if landmarks.min() < 0 or landmarks.max() >= num_nodes:
+        return f"landmark ids must lie in [0, {num_nodes})"
+    if len(np.unique(landmarks)) != k:
+        return "landmark ids must be distinct"
+    expected = (k, num_nodes)
+    is_float = np.issubdtype(resistances.dtype, np.floating)
+    if resistances.shape != expected or not is_float:
+        return (
+            f"resistances must be a float {expected} array, "
+            f"got {resistances.dtype} {resistances.shape}"
+        )
+    if not np.all(np.isfinite(resistances)):
+        return "resistances must be finite"
+    if np.any(resistances < 0):
+        return "resistances must be non-negative"
+    return None
 
 
 def load_context(

@@ -14,33 +14,53 @@ is at most the requested ε the midpoint is a valid ε-approximate answer — no
 random walks, no SpMVs, just two ``k``-vector reads.  Queries touching a
 landmark are answered exactly (the envelope collapses to a point).
 
-Preprocessing uses one sparse LU factorisation of the grounded Laplacian
-``L_g`` (the Laplacian with the row/column of a grounding node ``g`` removed):
-with ``a = L_g⁻¹``,
+Preprocessing inverts the grounded Laplacian ``L_g`` (the Laplacian with the
+row/column of a grounding node ``g`` removed): with ``a = L_g⁻¹``,
 
-* ``r(g, v) = a[v, v]`` — the diagonal of the inverse, obtained with chunked
-  identity solves against the cached factorisation, and
-* ``r(l, v) = a[l, l] - 2 a[l, v] + a[v, v]`` — one extra column solve per
+* ``r(g, v) = a[v, v]`` — the diagonal of the inverse, and
+* ``r(l, v) = a[l, l] - 2 a[l, v] + a[v, v]`` — one column of the inverse per
   landmark.
 
-Total cost: one ``splu`` factorisation plus ``n + k`` triangular solves, all
-exact up to solver precision, so the served bounds are *valid* (the tests
-check every stored value against a dense ``pinv(L)`` within a tolerance set by
-the condition number of ``L_g``).  The grounding node is the first landmark,
-so ``k`` landmarks cost ``k - 1`` column solves.
+The grounding node is the first landmark, so ``k`` landmarks need
+``diag(L_g⁻¹)`` and ``k - 1`` columns.  Both are exact up to solver precision,
+so the served bounds are *valid* (the tests check every stored value against
+a dense ``pinv(L)`` within a tolerance set by the condition number of
+``L_g``, for both paths below).
 
-The factorisation (:func:`_factor_grounded`) runs SuperLU in its symmetric
-mode: a minimum-degree ordering of ``L_g + L_gᵀ`` applied to rows and columns
-alike (``MMD_AT_PLUS_A``), with diagonal pivots (``diag_pivot_thresh=0``).
-That is safe only after the connectivity check.  ``xᵀ L_g x`` is the
-Laplacian quadratic form of ``x`` extended by ``x[g] = 0``, which vanishes
-only for vectors constant on a connected graph, so ``L_g`` is symmetric
-positive definite, and elimination on an SPD matrix is stable without row
-exchanges.  SuperLU's default (COLAMD on the columns, partial pivoting on the
-rows) ignores the symmetry: on the 2,000-node ``ba-2000-8`` graph it fills
-L+U to 2.72M nonzeros, the symmetric mode to 0.92M.  Each identity solve
-touches all of them, so the ``n - 1`` solves behind ``diag(L_g⁻¹)`` — most
-of the build — shrink with the fill (about 3x faster builds there).
+Both paths rely on the connectivity check.  ``xᵀ L_g x`` is the Laplacian
+quadratic form of ``x`` extended by ``x[g] = 0``, which vanishes only for
+vectors constant on a connected graph, so ``L_g`` is symmetric positive
+definite: a Cholesky factor exists, and elimination without row exchanges is
+stable.  :meth:`LandmarkSketchStore.build` picks the path by the order
+``n - 1`` of ``L_g`` alone:
+
+**Dense, order ≤ 2,048** (:func:`_inverse_dense`).  One LAPACK Cholesky
+(``dpotrf``) and the inverse from its factor (``dpotri``), both in place on
+the densified ``L_g``.  In place needs a Fortran-ordered float64 array
+(``toarray(order="F")`` of the CSC matrix): handed a C-ordered one, the
+wrappers copy it, and the build holds two matrices instead of one.  The bound
+is memory, not speed: the matrix is ``8 · 2048²`` bytes = 32 MiB at the
+bound and grows quadratically past it, while the sparse factor's memory
+follows its fill.  On the 2,000-node ``ba-2000-8`` graph, whose sparse factor
+already holds 23% of a dense factor's entries, the dense build takes 0.18 s
+against 1.1–1.3 s sparse (6–7x), and on ``facebook-syn`` 0.18–0.21 s against
+1.7–2.0 s (best of three, one CPU of a 2-vCPU host).  The dense cost is
+bounded by the size, about 0.2 s at the bound, so graphs whose sparse factor
+stays thin build a little slower than they would sparse: a 2,000-node path
+0.18 s against 0.09 s, a 45×45 grid 0.19 s against 0.17 s, a
+``BA(2000, 2)`` graph 0.18 s against 0.14 s.
+
+**Sparse, order > 2,048** (:func:`_inverse_sparse`).  One SuperLU factor,
+chunked identity solves for the diagonal and one solve per landmark column:
+``n + k`` triangular solves in all, and the only path whose memory scales to
+``sketch_max_nodes`` (50,000 by default).  :func:`_factor_grounded` runs
+SuperLU in its symmetric mode: a minimum-degree ordering of ``L_g + L_gᵀ``
+applied to rows and columns alike (``MMD_AT_PLUS_A``), with diagonal pivots
+(``diag_pivot_thresh=0``).  SuperLU's default (COLAMD on the columns, partial
+pivoting on the rows) ignores the symmetry: on ``ba-2000-8`` it fills L+U to
+2.72M nonzeros, the symmetric mode to 0.92M.  Each identity solve touches all
+of them, so the ``n - 1`` solves behind ``diag(L_g⁻¹)`` — most of a sparse
+build — shrink with the fill (about 3x faster builds there).
 """
 
 from __future__ import annotations
@@ -51,6 +71,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from repro.exceptions import GraphStructureError
 from repro.graph.graph import Graph
@@ -60,9 +81,46 @@ from repro.utils.validation import check_node_pair, check_positive
 
 LANDMARK_STRATEGIES = ("degree", "random")
 
-# Identity columns per solve when extracting diag(L_g⁻¹): bounds the dense
-# right-hand-side block at (n - 1) x 512 doubles.
+# Largest order of L_g inverted densely.  The bound is memory: the dense
+# matrix is 8 · 2048² bytes = 32 MiB here, and only the sparse factor's memory
+# scales to the service's ``sketch_max_nodes``.
+_DENSE_MAX_ORDER = 2048
+
+# Identity columns per solve when extracting diag(L_g⁻¹) on the sparse path:
+# bounds the dense right-hand-side block at (n - 1) x 512 doubles.
 _DIAG_CHUNK = 512
+
+
+def _inverse_dense(
+    grounded: sp.csc_matrix, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``diag(L_g⁻¹)`` and ``L_g⁻¹[:, columns]`` from one dense Cholesky.
+
+    ``dpotrf`` and ``dpotri`` overwrite one Fortran-ordered matrix: first with
+    the lower Cholesky factor, then with the lower triangle of the inverse.
+    Any nonzero LAPACK ``info`` — ``grounded`` not positive definite, or a bad
+    argument — raises :class:`numpy.linalg.LinAlgError`, so no value of a
+    failed factorization is ever returned.
+    """
+    matrix = grounded.toarray(order="F")
+    factor, info = lapack.dpotrf(matrix, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"dpotrf failed on the grounded Laplacian (info={info})"
+        )
+    inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"dpotri failed on the grounded Laplacian (info={info})"
+        )
+    # Only the lower triangle holds the inverse: column j is row j left of
+    # the diagonal, then column j from the diagonal down.
+    block = np.empty((len(inverse), len(columns)), order="F")
+    for i, j in enumerate(columns):
+        block[:j, i] = inverse[j, :j]
+        block[j:, i] = inverse[j:, j]
+    # A copy, not a view: a view of the diagonal would keep the matrix alive.
+    return inverse.diagonal().copy(), block
 
 
 def _factor_grounded(grounded: sp.csc_matrix) -> spla.SuperLU:
@@ -78,6 +136,31 @@ def _factor_grounded(grounded: sp.csc_matrix) -> spla.SuperLU:
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+
+def _inverse_sparse(
+    grounded: sp.csc_matrix, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``diag(L_g⁻¹)`` and ``L_g⁻¹[:, columns]`` from SuperLU solves.
+
+    Chunked identity solves give the diagonal and one solve per entry of
+    ``columns`` the columns, all against one symmetric-mode factor.
+    """
+    lu = _factor_grounded(grounded)
+    order = grounded.shape[0]
+    diag = np.empty(order, dtype=np.float64)
+    for start in range(0, order, _DIAG_CHUNK):
+        stop = min(start + _DIAG_CHUNK, order)
+        rhs = np.zeros((order, stop - start), dtype=np.float64)
+        rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        block = lu.solve(rhs)
+        diag[start:stop] = block[np.arange(start, stop), np.arange(stop - start)]
+    solved = np.empty((order, len(columns)), order="F")
+    for i, j in enumerate(columns):
+        rhs = np.zeros(order, dtype=np.float64)
+        rhs[j] = 1.0
+        solved[:, i] = lu.solve(rhs)
+    return diag, solved
 
 
 @dataclass(frozen=True)
@@ -203,7 +286,11 @@ class LandmarkSketchStore:
         strategy: str = "degree",
         rng: RngLike = None,
     ) -> "LandmarkSketchStore":
-        """Factor the grounded Laplacian and materialise ``r(l, ·)`` exactly."""
+        """Invert the grounded Laplacian and materialise ``r(l, ·)`` exactly.
+
+        Orders up to ``_DENSE_MAX_ORDER`` take the dense Cholesky path, larger
+        ones the sparse SuperLU path (see the module docstring).
+        """
         if graph.num_nodes < 2:
             raise ValueError("landmark sketches need at least two nodes")
         if not is_connected(graph):
@@ -217,26 +304,15 @@ class LandmarkSketchStore:
         reduced = np.full(n, -1, dtype=np.int64)
         reduced[keep] = np.arange(n - 1)
 
-        laplacian = graph.laplacian_matrix()
-        grounded = laplacian[keep][:, keep].tocsc()
-        lu = _factor_grounded(grounded)
-
-        # diag(L_g⁻¹) via chunked identity solves against the cached factors.
-        diag = np.empty(n - 1, dtype=np.float64)
-        for start in range(0, n - 1, _DIAG_CHUNK):
-            stop = min(start + _DIAG_CHUNK, n - 1)
-            rhs = np.zeros((n - 1, stop - start), dtype=np.float64)
-            rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
-            block = lu.solve(rhs)
-            diag[start:stop] = block[np.arange(start, stop), np.arange(stop - start)]
+        grounded = graph.laplacian_matrix()[keep][:, keep].tocsc()
+        inverse = _inverse_dense if n - 1 <= _DENSE_MAX_ORDER else _inverse_sparse
+        diag, columns = inverse(grounded, reduced[landmarks[1:]])
 
         resistances = np.zeros((len(landmarks), n), dtype=np.float64)
         # Ground landmark: r(g, v) = a[v, v].
         resistances[0, keep] = diag
         for i, landmark in enumerate(landmarks[1:], start=1):
-            rhs = np.zeros(n - 1, dtype=np.float64)
-            rhs[reduced[landmark]] = 1.0
-            column = lu.solve(rhs)
+            column = columns[:, i - 1]
             a_ll = column[reduced[landmark]]
             resistances[i, keep] = a_ll - 2.0 * column + diag
             resistances[i, ground] = a_ll

@@ -1,5 +1,6 @@
 """Unit tests for persistent preprocessing artifacts and warm starts."""
 
+import io
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.graph.generators import barabasi_albert_graph, watts_strogatz_graph
 from repro.service.artifacts import (
     ArtifactError,
     MANIFEST_NAME,
+    SKETCH_NAME,
     StaleArtifactError,
     graph_fingerprint,
     has_artifacts,
@@ -127,3 +129,69 @@ class TestStalenessAndErrors:
         save_artifacts(QueryContext(graph, rng=1), tmp_path, sketch=sketch)
         assert not (tmp_path / (MANIFEST_NAME + ".tmp")).exists()
         assert not (tmp_path / "sketch.npz.tmp").exists()
+
+
+def _npz(**arrays):
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _npy(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _put(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+def _sketch_of_150_nodes(num_landmarks):
+    small = LandmarkSketchStore.build(
+        barabasi_albert_graph(150, 3, rng=2), num_landmarks=num_landmarks
+    )
+    return _npz(landmarks=small.landmarks, resistances=small.resistances)
+
+
+# Each maps (file bytes, landmarks, resistances) of a sound five-landmark
+# sketch of the 250-node graph to the bytes of a damaged or foreign one.
+DAMAGED_SKETCHES = {
+    "truncated": lambda raw, lm, r: raw[: len(raw) // 2],
+    "empty": lambda raw, lm, r: b"",
+    "plain-npy": lambda raw, lm, r: _npy(r),
+    "missing-resistances": lambda raw, lm, r: _npz(landmarks=lm),
+    "built-for-150-nodes": lambda raw, lm, r: _sketch_of_150_nodes(len(lm)),
+    "float-landmarks": lambda raw, lm, r: _npz(
+        landmarks=lm.astype(float), resistances=r
+    ),
+    "landmark-999": lambda raw, lm, r: _npz(landmarks=_put(lm, 1, 999), resistances=r),
+    "duplicate-landmarks": lambda raw, lm, r: _npz(
+        landmarks=_put(lm, 1, lm[0]), resistances=r
+    ),
+    "fewer-than-manifest": lambda raw, lm, r: _npz(
+        landmarks=lm[:-1], resistances=r[:-1]
+    ),
+    "all-nan-resistances": lambda raw, lm, r: _npz(
+        landmarks=lm, resistances=np.full_like(r, np.nan)
+    ),
+    "negative-resistance": lambda raw, lm, r: _npz(
+        landmarks=lm, resistances=_put(r, (1, 7), -0.5)
+    ),
+}
+
+
+class TestDamagedSketch:
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_SKETCHES))
+    def test_damaged_sketch_raises_artifact_error(self, graph, tmp_path, damage):
+        sketch = LandmarkSketchStore.build(graph, num_landmarks=5)
+        save_artifacts(QueryContext(graph, rng=1), tmp_path, sketch=sketch)
+        path = tmp_path / SKETCH_NAME
+        damaged = DAMAGED_SKETCHES[damage](
+            path.read_bytes(), sketch.landmarks, sketch.resistances
+        )
+        path.write_bytes(damaged)
+        with pytest.raises(ArtifactError, match=SKETCH_NAME):
+            load_sketch(graph, tmp_path)

@@ -1,5 +1,6 @@
 """Unit tests for the landmark sketch store: bound validity and exact hits."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.graph.generators import (
     path_graph,
 )
 from repro.linalg.solvers import LaplacianSolver
-from repro.service.sketch import LandmarkSketchStore, _factor_grounded
+from repro.service import sketch as sketch_module
+from repro.service.sketch import LandmarkSketchStore, _factor_grounded, _inverse_dense
 
 
 @pytest.fixture(scope="module")
@@ -164,18 +166,46 @@ REFERENCE_GRAPHS = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(REFERENCE_GRAPHS))
-def reference(request):
-    """A built sketch beside all-pairs resistances from a dense ``pinv(L)``.
+PATHS = ("dense", "sparse")
 
-    ``tol`` is the reference's conditioning tolerance: ``10·κ(L_g)·2⁻⁵²``
-    relative to the largest resistance, with ``L_g`` grounded at the sketch's
-    first landmark.  Forward error in a solve with ``L_g`` scales with the
-    matrix's largest entries, so the tolerance is normwise, and it is the only
-    slack any assertion below allows.
+
+def _spy_on_paths(monkeypatch):
+    """Record, in call order, which inversion helper ``build`` runs."""
+    calls = []
+    for path in PATHS:
+        helper = getattr(sketch_module, f"_inverse_{path}")
+
+        def spy(*args, _helper=helper, _path=path):
+            calls.append(_path)
+            return _helper(*args)
+
+        monkeypatch.setattr(sketch_module, f"_inverse_{path}", spy)
+    return calls
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, path) for name in sorted(REFERENCE_GRAPHS) for path in PATHS],
+    ids=lambda param: "-".join(param),
+)
+def reference(request):
+    """A sketch built on one inversion path beside a dense ``pinv(L)``.
+
+    The order bound is moved so that ``build`` takes the named path, and a spy
+    checks that it did.  ``tol`` is the reference's conditioning tolerance:
+    ``10·κ(L_g)·2⁻⁵²`` relative to the largest resistance, with ``L_g``
+    grounded at the sketch's first landmark.  Forward error in a solve with
+    ``L_g`` scales with the matrix's largest entries, so the tolerance is
+    normwise, and it is the only slack any assertion below allows.
     """
-    graph = REFERENCE_GRAPHS[request.param]()
-    store = LandmarkSketchStore.build(graph, num_landmarks=8)
+    name, path = request.param
+    graph = REFERENCE_GRAPHS[name]()
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_on_paths(patch)
+        bound = graph.num_nodes if path == "dense" else 0
+        patch.setattr(sketch_module, "_DENSE_MAX_ORDER", bound)
+        store = LandmarkSketchStore.build(graph, num_landmarks=8)
+    assert calls == [path]
     laplacian = graph.laplacian_matrix().toarray()
     pinv = np.linalg.pinv(laplacian)
     diag = np.diag(pinv)
@@ -220,3 +250,41 @@ def test_symmetric_factor_has_at_most_half_the_default_fill():
     factor = _factor_grounded(grounded)
     default = spla.splu(grounded)
     assert factor.L.nnz + factor.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
+
+
+@pytest.mark.parametrize("num_nodes, path", [(2049, "dense"), (2050, "sparse")])
+def test_order_bound_picks_the_path(num_nodes, path, monkeypatch):
+    # Orders 2,048 and 2,049 on either side of the bound; a path graph's
+    # resistances have the closed form r(u, v) = |u - v|.
+    calls = _spy_on_paths(monkeypatch)
+    store = LandmarkSketchStore.build(path_graph(num_nodes), num_landmarks=4)
+    assert calls == [path]
+    exact = np.abs(store.landmarks[:, None] - np.arange(num_nodes)[None, :])
+    # The reference tolerance with κ(L_g) ≤ λ_max · trace(L_g⁻¹): Gershgorin
+    # bounds λ_max by twice the largest degree, and trace(L_g⁻¹) = Σ_v r(g, v).
+    kappa = 4.0 * exact[0].sum()
+    tol = 10.0 * kappa * 2.0**-52 * exact.max()
+    np.testing.assert_allclose(store.resistances, exact, rtol=0.0, atol=tol)
+
+
+def test_dense_inverse_raises_on_a_matrix_that_is_not_positive_definite():
+    # The ungrounded Laplacian is singular.  A path's pivots are exact (all 1,
+    # then 0), so dpotrf meets the zero pivot; rounding on other graphs can
+    # leave a tiny positive one instead.
+    laplacian = path_graph(50).laplacian_matrix().tocsc()
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf"):
+        _inverse_dense(laplacian, np.array([3]))
+
+
+def test_dense_inverse_works_in_place():
+    # Handed a C-ordered matrix, the LAPACK wrappers copy it: twice the peak.
+    graph = barabasi_albert_graph(600, 4, rng=1)
+    grounded = graph.laplacian_matrix()[1:, 1:].tocsc()
+    matrix_bytes = 8 * grounded.shape[0] ** 2
+    tracemalloc.start()
+    try:
+        _inverse_dense(grounded, np.array([3]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix_bytes

@@ -305,6 +305,16 @@ class TestServeCommand:
         with pytest.raises(SystemExit, match="different graph"):
             main(["serve", "--edge-list", str(other), "--artifacts", str(artifacts), "0,5"])
 
+    def test_serve_truncated_sketch_exits_cleanly(self, tmp_path):
+        # A torn sketch.npz is an artifact error naming the file, not a traceback.
+        artifacts = tmp_path / "artifacts"
+        assert main(["warm", "--dataset", "facebook-tiny", "--artifacts", str(artifacts)]) == 0
+        sketch = artifacts / "sketch.npz"
+        data = sketch.read_bytes()
+        sketch.write_bytes(data[: len(data) // 2])
+        with pytest.raises(SystemExit, match="sketch.npz"):
+            main(["serve", "--dataset", "facebook-tiny", "--artifacts", str(artifacts), "0,40"])
+
 
 class TestSweepCommand:
     def test_small_sweep(self, capsys):
